@@ -4,7 +4,8 @@
     shape gd --config FILE [...]
     shape timing --config FILE [--schemes sas,sgd1,...]
 
-Exit codes: 0 success, 2 configuration error, 3 numerical infeasibility.
+Exit codes: 0 success, 2 configuration error, 3 numerical infeasibility or
+divergence.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, InfeasibleError, NonAbsorbingError, OpinionShapeError
+from .errors import ConfigError, DivergenceError, InfeasibleError, NonAbsorbingError, OpinionShapeError
 from .harness import SCHEMES, parse_config, run_experiment, timing_report
 
 EXIT_OK = 0
@@ -89,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleError, NonAbsorbingError) as exc:
+    except (InfeasibleError, NonAbsorbingError, DivergenceError) as exc:
         print(f"numerical infeasibility: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OpinionShapeError as exc:

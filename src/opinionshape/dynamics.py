@@ -27,6 +27,7 @@ from .network import (
     ActivationModel,
     AgentPartition,
     InteractionGraph,
+    PollTable,
     influence_rhs,
     substochastic_matrix,
 )
@@ -54,12 +55,9 @@ def initial_state(graph: InteractionGraph, partition: AgentPartition, fill: floa
     return OpinionState(x=x, k=0)
 
 
-def sample_poll_targets(cdf: np.ndarray, pollers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one polled neighbor per poller from the row-wise cumulative law."""
-    if len(pollers) == 0:
-        return np.zeros(0, dtype=int)
-    r = rng.random(len(pollers))
-    return (r[:, None] < cdf[pollers]).argmax(axis=1)
+def sample_poll_targets(cdf: PollTable, pollers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Draw one polled neighbor per poller from the graph's poll table."""
+    return cdf.draw(pollers, rng.random(len(pollers)))
 
 
 def gossip_step(
@@ -194,7 +192,7 @@ def empirical_opinion_stats(
     free_idx = np.array(
         sorted(set(range(n)) - set(partition.stubborn)), dtype=int
     )
-    cdf = graph.poll_cdf()
+    table = graph.poll_cdf()
     h_vec = np.array([partition.h[i] for i in partition.stubborn])
     w_vals = partition.w_values(u) if len(ctrl_idx) else np.zeros(0)
     alpha_ctrl = partition.alpha[ctrl_idx] if len(ctrl_idx) else np.zeros(0)
@@ -208,26 +206,18 @@ def empirical_opinion_stats(
         else:
             active = rng.random((n_runs, n)) < activation.q
 
-        # polls for every non-stubborn agent, column by column
-        polled = np.zeros((n_runs, len(free_idx)), dtype=int)
-        r = rng.random((n_runs, len(free_idx)))
-        for col, node in enumerate(free_idx):
-            polled[:, col] = np.searchsorted(cdf[node], r[:, col], side="right")
+        # one poll per run for every non-stubborn agent
+        polled = table.draw(free_idx, rng.random((n_runs, len(free_idx))))
         copies = X_old[rows[:, None], polled]
-
-        for col, node in enumerate(free_idx):
-            mask = active[:, node]
-            X[mask, node] = copies[mask, col]
+        X[:, free_idx] = np.where(active[:, free_idx], copies, X_old[:, free_idx])
 
         if len(ctrl_idx):
             coins = rng.random((n_runs, len(ctrl_idx)))
-            for pos, node in enumerate(ctrl_idx):
-                mask = active[:, node] & (coins[:, pos] < alpha_ctrl[pos])
-                X[mask, node] = w_vals[pos]
+            adopt = active[:, ctrl_idx] & (coins < alpha_ctrl)
+            X[:, ctrl_idx] = np.where(adopt, w_vals, X[:, ctrl_idx])
 
         if len(stubborn_idx):
-            for pos, node in enumerate(stubborn_idx):
-                X[active[:, node], node] = h_vec[pos]
+            X[:, stubborn_idx] = np.where(active[:, stubborn_idx], h_vec, X[:, stubborn_idx])
 
     mean = X.mean(axis=0)
     if n_runs > 1:

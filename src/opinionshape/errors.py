@@ -29,5 +29,9 @@ class NonAbsorbingError(OpinionShapeError):
     """Raised when a sampled walk exceeds the hard step cap without terminating."""
 
 
+class DivergenceError(OpinionShapeError):
+    """Raised when an iterate turns non-finite or leaves its sanity bound."""
+
+
 class ConfigError(OpinionShapeError):
     """Raised on invalid experiment configuration."""

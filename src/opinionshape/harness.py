@@ -10,6 +10,7 @@ instance.  Identical config and seed produce byte-identical CSVs.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -58,8 +59,18 @@ class ExperimentConfig:
             raise ConfigError("n_iters must be nonnegative")
         if self.n_runs < 1:
             raise ConfigError("n_runs must be at least 1")
-        if self.budget <= 0:
-            raise ConfigError("budget must be positive")
+        if not (math.isfinite(self.budget) and self.budget > 0):
+            raise ConfigError("budget must be finite and positive")
+        for key in ("step_a", "step_b", "gd_step_scale"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{key} must be finite and positive")
+        if self.denom < 1:
+            raise ConfigError("denom must be at least 1")
+        for key in ("sgd_block", "anneal_denom"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ConfigError(f"{key} must be at least 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]")
         if not 0.0 <= self.observed_fraction <= 1.0:

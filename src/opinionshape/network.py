@@ -36,6 +36,7 @@ class InteractionGraph:
     P: np.ndarray
     names: dict[int, int] = field(default_factory=dict)
     undirected: bool = True
+    _poll_table: PollTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.P.shape != (self.node_count, self.node_count):
@@ -44,11 +45,58 @@ class InteractionGraph:
         if np.any(np.abs(rows - 1.0) > 1e-9):
             raise ValueError("poll matrix rows must sum to 1")
 
-    def poll_cdf(self) -> np.ndarray:
-        """Row-wise cumulative poll distribution, last column pinned at 1."""
-        cdf = np.cumsum(self.P, axis=1)
-        cdf[:, -1] = 1.0
-        return cdf
+    def poll_cdf(self) -> PollTable:
+        """The cached poll table, built from P on the first call."""
+        table = self._poll_table
+        if table is None:
+            table = PollTable.from_matrix(self.P)
+            object.__setattr__(self, "_poll_table", table)
+        return table
+
+
+@dataclass(frozen=True)
+class PollTable:
+    """Row-wise cumulative poll law stored over each row's neighbours only.
+
+    Entries follow the row-major order of ``np.nonzero(P)``.  ``keys`` holds
+    ``row + 1j * cum``: numpy orders complex numbers lexicographically, so
+    one ``searchsorted`` finds the row's block and the first cumulative
+    weight above the uniform, O(log nnz) per draw.  The cumulative values
+    are a sequential cumsum over the neighbours, which equals the dense row
+    cumsum at the neighbour columns bit for bit (adding 0.0 is exact), so a
+    draw picks what ``(r < cumsum(P)[row]).argmax()`` picks.  Each row's
+    last neighbour is pinned at exactly 1, so rounding in the row sum can
+    never send a draw past it.
+    """
+
+    indices: np.ndarray
+    keys: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_matrix(cls, P: np.ndarray) -> "PollTable":
+        rows, cols = np.nonzero(P)
+        counts = np.bincount(rows, minlength=P.shape[0])
+        ends = np.cumsum(counts)
+        slot = np.arange(len(rows)) - (ends - counts)[rows]
+        padded = np.zeros((P.shape[0], int(counts.max(initial=0))))
+        padded[rows, slot] = P[rows, cols]
+        cum = np.cumsum(padded, axis=1)[rows, slot]
+        del padded
+        cum[ends - 1] = 1.0
+        return cls(indices=cols, keys=rows + 1j * cum, shape=P.shape)
+
+    def draw(self, rows, r):
+        """Polled neighbour per (row, uniform) pair: scalars, or ``rows``
+        broadcast against the array ``r``."""
+        if isinstance(r, float):
+            query = complex(rows, r)
+        else:
+            # filling the parts skips the temporaries of rows + 1j * r
+            query = np.empty(np.shape(r), dtype=complex)
+            query.real = rows
+            query.imag = r
+        return self.indices[np.searchsorted(self.keys, query, side="right")]
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,13 @@ the gap reference for experiment runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import payoff_coefficients, payoff_fn
+from .errors import DivergenceError
 from .network import AgentPartition, InteractionGraph
 
 
@@ -89,13 +91,17 @@ def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
 
     Clip at zero first; if the clipped point fits the budget it is the
     projection, otherwise the budget binds and sorting-based water-filling
-    on the face {x >= 0, sum(x) = budget} finishes the job.
+    on the face {x >= 0, sum(x) = budget} finishes the job.  A NaN or +inf
+    entry raises DivergenceError (-inf clips to 0 and is projected).
     """
     if budget <= 0.0:
         raise ValueError("budget must be positive")
     v = np.asarray(v, dtype=float)
     clipped = np.maximum(v, 0.0)
-    if clipped.sum() <= budget:
+    total = float(clipped.sum())
+    if not math.isfinite(total):
+        raise DivergenceError(f"cannot project a non-finite control vector: {v}")
+    if total <= budget:
         return clipped
     dropping = np.sort(v)[::-1]
     csum = np.cumsum(dropping) - budget

@@ -65,7 +65,7 @@ def sample_hidden(partition: AgentPartition, fraction: float, seed) -> set[int]:
 def relay_token(
     graph: InteractionGraph,
     partition: AgentPartition,
-    observed: tuple[int, ...] | set[int],
+    observed: tuple[int, ...] | frozenset[int],
     node: int,
     rng: np.random.Generator,
     stamp: int = 0,
@@ -73,16 +73,16 @@ def relay_token(
     """Poll once from ``node`` and relay through hidden agents until observed.
 
     Terminal states are the observed set united with the stubborn set.
+    Pass ``observed`` as a set when relaying many tokens: membership is
+    tested on every hop.
     """
-    terminal = set(observed) | set(partition.stubborn)
-    cdf = graph.poll_cdf()
+    table = graph.poll_cdf()
     cur = int(node)
     hops = 0
     while True:
-        r = rng.random()
-        cur = int(np.searchsorted(cdf[cur], r, side="right"))
+        cur = int(table.draw(cur, rng.random()))
         hops += 1
-        if cur in terminal:
+        if cur in observed or cur in partition.stubborn:
             return Token(origin=int(node), terminal=cur, hops=hops, stamp=stamp)
         if hops > HOP_CAP:
             raise NonAbsorbingError(f"token from node {node} exceeded {HOP_CAP} hops")
@@ -220,8 +220,10 @@ def run_partial(
     if hidden is None:
         hidden = sample_hidden(partition, 1.0 - observed_fraction, seed)
     observed = observed_set(partition, hidden)
+    observed_lookup = frozenset(observed)
     stubborn = set(partition.stubborn)
     learners = [node for node in observed if node not in stubborn]
+    ctrl_index = partition.control_index()
     n_ctrl = len(partition.controlled)
     u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
     grad_vec = {node: 0.0 for node in observed}
@@ -238,10 +240,10 @@ def run_partial(
         snapshot = dict(grad_vec)
         steps = schedule.a(clocks.counts)
         for node in learners:
-            token = relay_token(graph, partition, observed, node, rng, stamp=k)
+            token = relay_token(graph, partition, observed_lookup, node, rng, stamp=k)
             hop_totals += token.hops
             a = partition.alpha[node]
-            pos = partition.control_index().get(node)
+            pos = ctrl_index.get(node)
             own = a * partition.w[node].deriv(float(u[pos])) if pos is not None else 0.0
             target = own + (1.0 - a) * snapshot[token.terminal]
             grad_vec[node] = snapshot[node] + steps[node] * (target - snapshot[node])

@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from .dynamics import payoff_fn, sample_poll_targets
+from .errors import DivergenceError
 from .network import ActivationModel, AgentPartition, InteractionGraph, substochastic_matrix
 from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, relative_gap
 
@@ -168,7 +169,8 @@ def run_sas(
         ks.append(k + 1)
         us.append(u.copy())
         pays.append(payoff(u))
-        assert np.max(np.abs(grad_table), initial=0.0) <= bound, "sensitivity table left its sanity bound"
+        if not np.max(np.abs(grad_table), initial=0.0) <= bound:
+            raise DivergenceError(f"sensitivity table left its sanity bound {bound:.3g} at tick {k + 1}")
 
     traj = Trajectory(
         scheme="sas",

@@ -41,7 +41,7 @@ def _walk_batch(
     if n_walks == 0:
         return contrib
 
-    cdf = graph.poll_cdf()
+    table = graph.poll_cdf()
     alpha = partition.alpha
     stubborn = np.zeros(graph.node_count, dtype=bool)
     stubborn[list(partition.stubborn)] = True
@@ -89,8 +89,7 @@ def _walk_batch(
 
         if len(movers) == 0:
             continue
-        r = rng.random(len(movers))
-        nxt = (r[:, None] < cdf[pos[movers]]).argmax(axis=1)
+        nxt = table.draw(pos[movers], rng.random(len(movers)))
 
         if scheme == 2:
             prev = pos[movers]

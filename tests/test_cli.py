@@ -1,6 +1,15 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from opinionshape.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, **overrides):
@@ -71,3 +80,41 @@ def test_timing_subcommand(tmp_path, capsys):
 def test_timing_empty_schemes_is_exit_2(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["timing", "--config", str(cfg), "--schemes", ""]) == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("denom", 0),
+        ("budget", "nan"),
+        ("budget", "inf"),
+        ("sgd_block", 0),
+        ("anneal_denom", 0),
+        ("step_a", 0.0),
+        ("step_a", "inf"),
+        ("step_b", -0.6),
+        ("step_b", "nan"),
+        ("gd_step_scale", 0.0),
+    ],
+)
+def test_bad_numeric_setting_is_exit_2(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, out_dir=tmp_path / "bad", **{key: value})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_diverging_sas_is_exit_3(tmp_path, capsys):
+    # a fast step of 5 overshoots the sensitivity fixed point and blows up
+    cfg = write_config(tmp_path, step_a=5.0, out_dir=tmp_path / "div")
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert "sanity bound" in capsys.readouterr().err
+
+
+def test_divergence_is_caught_under_python_O(tmp_path):
+    cfg = write_config(tmp_path, step_a=5.0, n_runs=1, out_dir=tmp_path / "div")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "opinionshape.cli", "run", "--config", str(cfg)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr

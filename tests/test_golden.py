@@ -1,0 +1,154 @@
+"""Golden sha256 digests of seeded experiment CSVs.
+
+A fixed config and seed must give byte-identical CSVs.  The digests below
+were recorded with a dense inverse-CDF poll sampler, so they also pin that
+the poll table consumes every uniform in the same order and picks the same
+neighbour as that sampler.  The simulator digests cover the two opinion
+simulators, which write no CSV.  The digests depend on the float results
+of the linear-algebra build (LAPACK solves feed the payoff column); record
+them again only with a change that is meant to move the numbers, and say
+why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from opinionshape.dynamics import empirical_opinion_stats, gossip_step, initial_state
+from opinionshape.harness import parse_config, run_experiment
+from opinionshape.network import ActivationModel
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "karate_sas.cfg"
+SCHEMES = ("gd", "sas", "sgd1", "sgd2", "partial")
+
+RING_N = 40
+
+
+def write_ring_with_chords(path: Path) -> None:
+    """Weighted undirected ring on RING_N nodes plus a chord from every even node."""
+    lines = []
+    for i in range(RING_N):
+        lines.append(f"{i} {(i + 1) % RING_N} {1 + i % 3}")
+        if i % 2 == 0:
+            lines.append(f"{i} {(7 * i + 5) % RING_N} 0.5")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def csv_digests(out_dir: Path) -> dict[str, str]:
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out_dir.glob("*.csv"))
+    }
+
+
+def run_short(tmp_path: Path, instance: str, scheme: str) -> dict[str, str]:
+    out = tmp_path / f"{instance}_{scheme}"
+    config = parse_config(CONFIG, {"scheme": scheme, "n_iters": 50, "n_runs": 2, "out_dir": str(out)})
+    if instance == "ring":
+        edges = tmp_path / "ring.edges"
+        write_ring_with_chords(edges)
+        config = replace(
+            config, network=str(edges), weighted=True,
+            s_size=4, s1_size=30, s0_size=6, budget=3.0, seed=5,
+        )
+    run_experiment(config)
+    return csv_digests(out)
+
+
+def simulator_digests(graph, partition) -> dict[str, str]:
+    """Digests of the opinion simulators' outputs, which share the poll draw."""
+    u = np.full(len(partition.controlled), 1.0)
+    asynchronous = ActivationModel("asynchronous", q=np.full(graph.node_count, 0.7))
+    out = {}
+    for mode in (ActivationModel("synchronous"), asynchronous):
+        rng = np.random.default_rng(3)
+        state = initial_state(graph, partition)
+        polled = []
+        for _ in range(20):
+            state, events = gossip_step(state, u, graph, partition, mode, rng)
+            polled.extend(e.polled for e in events)
+        gossip = state.x.tobytes() + np.array(polled).tobytes()
+        mean, se = empirical_opinion_stats(graph, partition, u, mode, 20, 30, seed=4)
+        out[f"gossip_{mode.mode}"] = hashlib.sha256(gossip).hexdigest()
+        out[f"stats_{mode.mode}"] = hashlib.sha256(mean.tobytes() + se.tobytes()).hexdigest()
+    return out
+
+
+GOLDEN = {
+    ('karate', 'gd'): {
+        'gd_seed0.csv': 'ec5b5ac7778d6f11678fa395bc1f3e1f4736a5226886b08ea663de38f24587fa',
+        'gd_summary.csv': 'a553d433698d8fd1388e1a5cebd227cc0173ba9b09dd900028b8ff575e55d8ea',
+    },
+    ('karate', 'sas'): {
+        'sas_seed0.csv': '44146961a135af5f61c988673d81b83a3936f40214ba48dd799927721c5be67a',
+        'sas_seed1.csv': '00d0984cda6cd4e73fec610071dfa2491c86256756a6233568c1df252a64b4e3',
+        'sas_summary.csv': '2401e80e6d986f49d14a2d20306f6c4fc25d63c2b4206d4ed89a276754187dfb',
+    },
+    ('karate', 'sgd1'): {
+        'sgd1_seed0.csv': 'b02afa12e6f9fb11932e5d3f47ec23c2623f8d15c6baa5262bc23cba1a4d80e4',
+        'sgd1_seed1.csv': 'fffc262e1a6d35fe0d6cf25b1d32d098dac401980185838a8c8c6efd31ce0bb5',
+        'sgd1_summary.csv': '64fcd5e217f685ce601284825a2233b80b6f6348d500ec22f4a50c87ad708a1c',
+    },
+    ('karate', 'sgd2'): {
+        'sgd2_seed0.csv': 'c4a85d8a6af00dc4c1f3af86169dd417135057c405fbefa721f91727489301c4',
+        'sgd2_seed1.csv': 'a5baf01f74b3673d96c5d571f53c0dcabab38009be8b318a678114b14e3321f0',
+        'sgd2_summary.csv': '336125d155f929ec3e0a7cf75b937b74728abab00db2f29decc7c6d062fe2e15',
+    },
+    ('karate', 'partial'): {
+        'partial_seed0.csv': '6d023bc4c9551ea4228d2beb14209ac20aa5095d064cdf4659ba00f1b48fb95f',
+        'partial_seed1.csv': 'a3a809802757e54d235e67e3e4ec3bef3f98bb51db6edaf77d0f553a16e75c77',
+        'partial_summary.csv': '9c2df0f05284a2350d28e9631e8345217d007c0b8254abd34aeac04cb3b51119',
+    },
+    ('ring', 'gd'): {
+        'gd_seed5.csv': '0d503021165bb136b7f1346062973d70a27149c9ff40e704bde98555f87161ba',
+        'gd_summary.csv': '57c3f69f4aaad99b1577982bfc3b3a6d102c6fcdc60bec2965acc9f298e8fefd',
+    },
+    ('ring', 'sas'): {
+        'sas_seed5.csv': '94c58bd6fe20e2cb20f1b90034ff90889a6d6799dabd0ea1b21167953b4359f0',
+        'sas_seed6.csv': 'dd9cb0d1caff85834a2bdcbed6bef1aee2b0476419766da82e77148c53961f6c',
+        'sas_summary.csv': '4a988d15d3d957e5653294fbe577e64bfef7e13a0eb515ac59abab9e2564a9a2',
+    },
+    ('ring', 'sgd1'): {
+        'sgd1_seed5.csv': '250a5fa6c18a4fbde98997e88bee1f294c2d761244ea74e171b6bc3a5ab36201',
+        'sgd1_seed6.csv': 'fd79dec687c639f39993354112fa8f53a5aeae7b7dbbce7ce0f7dbc81740b8b6',
+        'sgd1_summary.csv': '442b7997a19f35370a0e7d3096fc08b086b27b7a5113bd23c92fb56bf9b9d52c',
+    },
+    ('ring', 'sgd2'): {
+        'sgd2_seed5.csv': '34d5bf9acd625760abb7d4d299523ea8c1ef17205e38dc5ce5f32e46b8a86c06',
+        'sgd2_seed6.csv': 'ba8bb711a2046a8bfc71917b5dd996ce6abca8bceffdad6674507568a6a0d365',
+        'sgd2_summary.csv': '55c0a76e9035a0307274595e031b0142ceac41244522db714e592395202f2273',
+    },
+    ('ring', 'partial'): {
+        'partial_seed5.csv': '3bf92609b44857c70c7c25f808d7b966c271eb30be86aa837ad6d37ecf7e5d77',
+        'partial_seed6.csv': '22eab5d0f00917a5ce2933891c79240d5ab73372d4418e570cd2004b2cc6af23',
+        'partial_summary.csv': 'd94f1f9001d3ede8f3768deee7d6cb00ef2fe05990ccc23b181cfb3a1c95de5b',
+    },
+    ('karate', 'general-rl'): {
+        'general-rl_seed0.csv': 'e89bc34a663c7e8eb03552196cc4c17841f077221481508203fb4c2769ed10a7',
+        'general-rl_seed1.csv': 'ea5785fc6984667355f8ae72c336b6679b8ad6c949960146a036ec4b3ceea0e6',
+        'general-rl_summary.csv': '0d502b49ea5e392caf0a60d88769537ec4a00c202d5d6f1584311e06dae5befe',
+    },
+}
+GOLDEN_SIMULATORS = {
+    'gossip_synchronous': 'f3ea15b61703cb9b7439ef99e90b25f42be35e05b20b4c227d5ad9e40f38d9d2',
+    'stats_synchronous': '0f595eaa72a1ba2a2992cb3de890b20a8ca87922bd50e401d14ce568ed979ced',
+    'gossip_asynchronous': 'cc401c08b5b607ab5ad5f4d8d03f6598a3708b5b68d93158a66955969c2505b3',
+    'stats_asynchronous': 'ed883825151e7bcae6bbd4db7c15296a94a68e869b38a0e3df79dc4897cf1a11',
+}
+
+
+@pytest.mark.parametrize(
+    "instance, scheme",
+    [(i, s) for i in ("karate", "ring") for s in SCHEMES] + [("karate", "general-rl")],
+)
+def test_csv_bytes_match_golden_digests(tmp_path, instance, scheme):
+    assert run_short(tmp_path, instance, scheme) == GOLDEN[instance, scheme]
+
+
+def test_simulator_outputs_match_golden_digests(karate_graph, karate_partition):
+    assert simulator_digests(karate_graph, karate_partition) == GOLDEN_SIMULATORS

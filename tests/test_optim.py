@@ -5,6 +5,7 @@ import pytest
 
 from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
 from opinionshape.dynamics import total_payoff
+from opinionshape.errors import DivergenceError
 from opinionshape.optim import (
     StepSchedule,
     exact_gradient,
@@ -58,6 +59,11 @@ class TestProjection:
             out = project_budget_simplex(v, 3.0)
             assert np.all(out >= 0.0)
             assert out.sum() <= 3.0 + 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_divergence(self, bad):
+        with pytest.raises(DivergenceError):
+            project_budget_simplex(np.array([1.0, bad, 2.0]), 5.0)
 
 
 class TestStepSchedule:
