@@ -29,7 +29,7 @@ from .network import (
     InteractionGraph,
     PollTable,
     influence_rhs,
-    substochastic_matrix,
+    stationary_system,
 )
 
 RESIDUAL_TOL = 1e-10
@@ -102,8 +102,7 @@ def gossip_step(
 
 def stationary_opinion(graph: InteractionGraph, partition: AgentPartition, u: np.ndarray) -> np.ndarray:
     """Solve (Id - A) x = rhs(u) for the long-run mean opinion."""
-    A = substochastic_matrix(graph, partition)
-    system = np.eye(graph.node_count) - A
+    system = stationary_system(graph, partition)
     rhs = influence_rhs(partition, u)
     try:
         x = np.linalg.solve(system, rhs)
@@ -125,13 +124,8 @@ def total_payoff(graph: InteractionGraph, partition: AgentPartition, u: np.ndarr
 
 
 def payoff_coefficients(graph: InteractionGraph, partition: AgentPartition) -> np.ndarray:
-    """Row vector c with total payoff = c . rhs(u); one transposed solve."""
-    A = substochastic_matrix(graph, partition)
-    system = np.eye(graph.node_count) - A
-    try:
-        return np.linalg.solve(system.T, np.ones(graph.node_count))
-    except np.linalg.LinAlgError as exc:
-        raise InfeasibleError(f"stationary system is singular: {exc}") from exc
+    """Row vector c with total payoff = c . rhs(u); see ``payoff_adjoint``."""
+    return graph.payoff_adjoint(partition)
 
 
 def payoff_fn(graph: InteractionGraph, partition: AgentPartition) -> Callable[[np.ndarray], float]:

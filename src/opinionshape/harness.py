@@ -274,8 +274,8 @@ def write_summary_csv(path: Path, ks: np.ndarray, gaps: np.ndarray) -> None:
 
 
 def _worker(args) -> tuple[int, Trajectory]:
-    config, run_seed = args
-    instance = build_instance(config)
+    """One run in a pool process, on the instance the parent built."""
+    config, instance, run_seed = args
     return run_seed, run_scheme(config, instance, run_seed)
 
 
@@ -291,7 +291,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     trajectories: list[Trajectory] = []
     if config.jobs > 1 and n_runs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for _, traj in pool.map(_worker, [(config, s) for s in seeds]):
+            for _, traj in pool.map(_worker, [(config, instance, s) for s in seeds]):
                 trajectories.append(traj)
     else:
         for s in seeds:

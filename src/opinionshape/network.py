@@ -6,7 +6,9 @@ planner influence with per-agent probability alpha, uncontrolled agents only
 gossip, and stubborn agents hold a pinned opinion h.  The influence matrix A
 damps controlled rows by (1 - alpha) and zeroes stubborn rows; stationary
 opinions exist exactly when (Id - A) is invertible, which is validated
-eagerly so downstream runs fail fast.
+eagerly so downstream runs fail fast.  A does not depend on the controls,
+so the adjoint solve behind the total payoff happens once per instance and
+its result is cached on the graph.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ class InteractionGraph:
     names: dict[int, int] = field(default_factory=dict)
     undirected: bool = True
     _poll_table: PollTable | None = field(default=None, init=False, repr=False, compare=False)
+    _adjoint: tuple[AgentPartition, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.P.shape != (self.node_count, self.node_count):
@@ -52,6 +57,36 @@ class InteractionGraph:
             table = PollTable.from_matrix(self.P)
             object.__setattr__(self, "_poll_table", table)
         return table
+
+    def payoff_adjoint(self, partition: AgentPartition) -> np.ndarray:
+        """Read-only c solving (Id - A)^T c = 1 for ``partition`` on this graph.
+
+        The total payoff is c . rhs(u).  One slot, keyed by the partition
+        object: another partition replaces it.  The slot holds the partition
+        itself, so a recycled ``id()`` can never hit.  Partitions are treated
+        as immutable.  Raises InfeasibleError if the solver fails or leaves
+        a residual above 1e-6.
+        """
+        cached = self._adjoint
+        if cached is None or cached[0] is not partition:
+            system = stationary_system(self, partition)
+            try:
+                coef = np.linalg.solve(system.T, np.ones(self.node_count))
+            except np.linalg.LinAlgError as exc:
+                raise InfeasibleError(f"stationary system is singular: {exc}") from exc
+            residual = np.max(np.abs(system.T @ coef - 1.0))
+            if not np.isfinite(residual) or residual > 1e-6:
+                raise InfeasibleError(f"stationary system residual too large: {residual:.3e}")
+            coef.setflags(write=False)
+            cached = (partition, coef)
+            object.__setattr__(self, "_adjoint", cached)
+        return cached[1]
+
+    def __setstate__(self, state):
+        # unpickled arrays come back writeable; the cached vector must not
+        self.__dict__.update(state)
+        if self._adjoint is not None:
+            self._adjoint[1].setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -325,20 +360,17 @@ def influence_rhs(partition: AgentPartition, u: np.ndarray) -> np.ndarray:
     return rhs
 
 
+def stationary_system(graph: InteractionGraph, partition: AgentPartition) -> np.ndarray:
+    """Id - A, the matrix of the stationary system (dense, n x n)."""
+    return np.eye(graph.node_count) - substochastic_matrix(graph, partition)
+
+
 def check_feasible(graph: InteractionGraph, partition: AgentPartition) -> None:
     """Verify that (Id - A) supports an accurate solve; raise InfeasibleError if not.
 
-    A trial solve against the all-ones vector is enough: singular or nearly
-    singular systems either raise inside the solver or leave a residual far
-    above the tolerance used by the stationary solver.
+    The probe is the adjoint solve the payoff needs anyway: singular or
+    nearly singular systems either raise inside the solver or leave a
+    residual far above the tolerance.  A passing solve stays cached on the
+    graph, so the instance's payoff coefficients cost no further solve.
     """
-    A = substochastic_matrix(graph, partition)
-    system = np.eye(graph.node_count) - A
-    probe = np.ones(graph.node_count)
-    try:
-        x = np.linalg.solve(system, probe)
-    except np.linalg.LinAlgError as exc:
-        raise InfeasibleError(f"stationary system is singular: {exc}") from exc
-    residual = np.max(np.abs(system @ x - probe))
-    if not np.isfinite(residual) or residual > 1e-6:
-        raise InfeasibleError(f"stationary system residual too large: {residual:.3e}")
+    graph.payoff_adjoint(partition)

@@ -139,14 +139,12 @@ def run_exact_gd(
     n_ctrl = len(partition.controlled)
     u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
     payoff = payoff_fn(graph, partition)
-    coef = payoff_coefficients(graph, partition)
     idx = list(partition.controlled)
-    alpha_ctrl = partition.alpha[idx] if idx else np.zeros(0)
-    c_ctrl = coef[idx] if idx else np.zeros(0)
+    gains = payoff_coefficients(graph, partition)[idx] * partition.alpha[idx]
 
     ks, us, pays = [0], [u.copy()], [payoff(u)]
     for k in range(n_iters):
-        grad = c_ctrl * alpha_ctrl * partition.w_derivs(u) if n_ctrl else np.zeros(0)
+        grad = gains * partition.w_derivs(u) if n_ctrl else np.zeros(0)
         u = project_budget_simplex(u + (step_scale / (k + 1)) * grad, budget) if n_ctrl else u
         if (k + 1) % record_every == 0 or k == n_iters - 1:
             ks.append(k + 1)
@@ -194,9 +192,14 @@ def exact_optimum(
             if g * curve.deriv(budget) >= lam:
                 out[pos] = budget
                 continue
+            # invariant: the test below holds at lo and fails at hi, so once
+            # mid rounds onto lo or hi every further step rewrites the same
+            # value and stopping leaves (lo, hi) exactly as 100 steps would
             lo, hi = 0.0, budget
             for _ in range(100):
                 mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
                 if g * curve.deriv(mid) >= lam:
                     lo = mid
                 else:
@@ -208,8 +211,8 @@ def exact_optimum(
     if lam_hi <= 0.0:
         u_star = np.zeros(len(idx))
         return u_star, payoff(u_star)
-    if control_at(0.0).sum() <= budget:
-        u_star = control_at(0.0)
+    u_star = control_at(0.0)
+    if u_star.sum() <= budget:
         return u_star, payoff(u_star)
     lam_lo = 0.0
     for _ in range(200):

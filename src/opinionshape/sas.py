@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import payoff_fn, sample_poll_targets
 from .errors import DivergenceError
-from .network import ActivationModel, AgentPartition, InteractionGraph, substochastic_matrix
+from .network import ActivationModel, AgentPartition, InteractionGraph, stationary_system
 from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, relative_gap
 
 # sanity ceiling on table entries: alpha_max * max w' / alpha_min, slack 10x
@@ -35,8 +35,7 @@ def exact_grad_table(graph: InteractionGraph, partition: AgentPartition, u: np.n
     driver = np.zeros((n, len(idx)))
     if idx:
         driver[idx, np.arange(len(idx))] = partition.alpha[idx] * partition.w_derivs(u)
-    A = substochastic_matrix(graph, partition)
-    return np.linalg.solve(np.eye(n) - A, driver)
+    return np.linalg.solve(stationary_system(graph, partition), driver)
 
 
 def sas_fast_update(

@@ -129,3 +129,18 @@ def brute_force_projection(vs: np.ndarray, budget: float) -> np.ndarray:
             feasible = np.all(x >= -1e-15, axis=1)
             consider(np.maximum(x, 0.0), feasible)
     return best
+
+
+class SolveCounter:
+    """Wraps ``np.linalg.solve`` and counts the calls on an n x n system."""
+
+    def __init__(self, monkeypatch, n: int):
+        self.n = n
+        self.calls = 0
+        self._solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", self)
+
+    def __call__(self, a, b):
+        if np.shape(a) == (self.n, self.n):
+            self.calls += 1
+        return self._solve(a, b)

@@ -3,14 +3,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from opinionshape import harness
 from opinionshape.errors import ConfigError
 from opinionshape.harness import (
     build_instance,
     parse_config,
     read_run_csv,
     run_experiment,
+    run_scheme,
     timing_report,
 )
+
+from helpers import SolveCounter
 
 
 def write_config(tmp_path, **overrides):
@@ -134,6 +138,29 @@ class TestRunExperiment:
         )
         for a, b in zip(serial["runs"], parallel["runs"]):
             assert a.read_bytes() == b.read_bytes()
+
+    def test_worker_runs_on_the_parent_instance(self, tmp_path, monkeypatch):
+        cfg = parse_config(write_config(tmp_path, n_iters=40))
+        instance = build_instance(cfg)
+        expected = run_scheme(cfg, instance, cfg.seed + 1)
+
+        def no_rebuild(config):
+            raise AssertionError("pool workers must not rebuild the instance")
+
+        monkeypatch.setattr(harness, "build_instance", no_rebuild)
+        seed, traj = harness._worker((cfg, instance, cfg.seed + 1))
+        assert seed == cfg.seed + 1
+        assert np.array_equal(traj.u, expected.u)
+        assert np.array_equal(traj.payoff, expected.payoff)
+
+    @pytest.mark.parametrize("scheme", ["gd", "sas", "sgd1", "sgd2", "partial"])
+    def test_one_dense_solve_per_experiment(self, tmp_path, monkeypatch, scheme):
+        counter = SolveCounter(monkeypatch, 34)  # karate's node count
+        cfg = parse_config(
+            write_config(tmp_path, scheme=scheme, n_iters=20, n_runs=3, out_dir=tmp_path / scheme)
+        )
+        run_experiment(cfg)
+        assert counter.calls == 1
 
     def test_general_schemes_run(self, tmp_path):
         for scheme in ("general-rl", "general-knownp"):

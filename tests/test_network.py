@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opinionshape.curves import SaturatingCurve
 from opinionshape.errors import DanglingNodeError, EdgeListParseError, InfeasibleError
@@ -82,6 +87,30 @@ class TestLoadEdgeList:
     def test_comments_and_blanks_ignored(self, tmp_path):
         g = load_edge_list(write(tmp_path, "# header\n\n0 1  # trailing\n1 0\n"))
         assert g.node_count == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_property_random_edge_lists(self, data):
+        labels = data.draw(st.lists(st.integers(-5, 60), min_size=1, max_size=12, unique=True))
+        weight = st.floats(0.25, 8.0)
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels), weight), max_size=30))
+        # a ring through every label keeps each node's out-degree positive when directed
+        ring = [(a, b, data.draw(weight)) for a, b in zip(labels, labels[1:] + labels[:1])]
+        raw = pairs + ring
+        directed = data.draw(st.booleans())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.edges"
+            path.write_text("".join(f"{s} {d} {w!r}\n" for s, d, w in raw))
+            g = load_edge_list(path, directed=directed)
+        assert g.node_count == len(labels)
+        assert np.all(g.P >= 0.0)
+        assert np.allclose(g.P.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert sorted(g.names.values()) == sorted(labels)
+        assert sorted(g.names) == list(range(g.node_count))
+        assert [(g.names[i], g.names[j], w) for i, j, w in g.edges] == raw
+        for i, j, _ in g.edges:
+            assert g.P[i, j] > 0.0
+            assert directed or g.P[j, i] > 0.0
 
     def test_deterministic_reload(self, tmp_path):
         path = write(tmp_path, "0 1 1.5\n1 2 0.5\n2 0 2.0\n")

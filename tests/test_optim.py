@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
 from opinionshape.dynamics import total_payoff
@@ -59,6 +62,18 @@ class TestProjection:
             out = project_budget_simplex(v, 3.0)
             assert np.all(out >= 0.0)
             assert out.sum() <= 3.0 + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        v=arrays(float, st.integers(1, 12), elements=st.floats(-1e3, 1e3)),
+        budget=st.floats(1e-3, 1e3),
+    )
+    def test_property_feasible_and_fixed(self, v, budget):
+        out = project_budget_simplex(v, budget)
+        scale = max(1.0, budget, float(np.abs(v).max()))
+        assert np.all(out >= 0.0)
+        assert out.sum() <= budget + 1e-12 * scale
+        assert np.allclose(project_budget_simplex(out, budget), out, rtol=0.0, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_is_divergence(self, bad):
