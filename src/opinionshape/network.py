@@ -110,7 +110,7 @@ class PollTable:
 
     @classmethod
     def from_matrix(cls, P: np.ndarray) -> "PollTable":
-        rows, cols = np.nonzero(P)
+        rows, cols = np.divmod(np.flatnonzero(P), P.shape[1])
         counts = np.bincount(rows, minlength=P.shape[0])
         ends = np.cumsum(counts)
         slot = np.arange(len(rows)) - (ends - counts)[rows]
@@ -217,9 +217,9 @@ def row_normalize(adjacency: np.ndarray) -> np.ndarray:
     if np.any(adjacency < 0.0):
         raise ValueError("adjacency weights must be nonnegative")
     sums = adjacency.sum(axis=1)
-    for node, s in enumerate(sums):
-        if s <= 0.0:
-            raise DanglingNodeError(node)
+    dangling = np.flatnonzero(sums <= 0.0)
+    if dangling.size:
+        raise DanglingNodeError(int(dangling[0]))
     return adjacency / sums[:, None]
 
 

@@ -174,57 +174,113 @@ def exact_optimum(
     double bisection (outer on lam, inner on each u_i) pins it down.  With
     strictly increasing reward curves the budget binds; if every marginal
     is zero the zero control is returned.
+
+    The inner bisection of u_i at lam steps to the upper half of its
+    bracket when g_i * w_i'(mid) >= lam, a test that is monotone in lam.
+    So while the outer search narrows lam to [lam_lo, lam_hi], every lam in
+    it walks the same path down to the first midpoint whose marginal lies
+    in [lam_lo, lam_hi).  Each control keeps that shared bracket (and the
+    marginal at its midpoint) across outer steps instead of restarting at
+    [0, budget].  A probe at lam needs only the sign of total - budget: a
+    control's result lies inside its bracket, and numpy's pairwise sum is
+    a fixed tree of rounded additions, monotone in every term, so the sums
+    of the bracket ends decide the test once they stop straddling the
+    budget.  The result is bit-identical to bisecting every control from
+    [0, budget] at every probe.
     """
     idx = list(partition.controlled)
     payoff = payoff_fn(graph, partition)
     if not idx:
         return np.zeros(0), payoff(np.zeros(0))
     coef = payoff_coefficients(graph, partition)
-    gains = coef[idx] * partition.alpha[idx]
-    curves = [partition.w[i] for i in idx]
+    gains = (coef[idx] * partition.alpha[idx]).tolist()
+    derivs = [partition.w[i].deriv for i in idx]
+    n_ctrl = len(idx)
 
-    def control_at(lam: float) -> np.ndarray:
-        # largest u in [0, budget] with gain * w'(u) >= lam, per control
-        out = np.zeros(len(idx))
-        for pos, (g, curve) in enumerate(zip(gains, curves)):
-            if g * curve.deriv(0.0) <= lam:
+    top = [g * deriv(0.0) for g, deriv in zip(gains, derivs)]
+    lam_hi = max(top)
+    if lam_hi <= 0.0:
+        u_star = np.zeros(n_ctrl)
+        return u_star, payoff(u_star)
+    floor = [g * deriv(budget) for g, deriv in zip(gains, derivs)]
+    # per control: the shared bracket lo, hi, its depth in steps from
+    # [0, budget], and the marginal at its midpoint once evaluated
+    shared = [[0.0, budget, 0, None] for _ in range(n_ctrl)]
+
+    def control_at(lam: float, lam_lo: float, lam_hi: float, exact: bool):
+        """Lower ends of the brackets of each control's bisection result at lam.
+
+        Deepens while the sums of the lower and upper ends straddle the
+        budget, so low.sum() > budget decides total > budget; with
+        ``exact``, until each bracket is the result itself.  The test holds
+        at lo and fails at hi, so once mid rounds onto lo or hi, or after
+        100 steps, the result is 0.5 * (lo + hi).
+        """
+        low = np.zeros(n_ctrl)
+        high = np.zeros(n_ctrl)
+        live = []
+        for pos in range(n_ctrl):
+            if top[pos] <= lam:
                 continue
-            if g * curve.deriv(budget) >= lam:
-                out[pos] = budget
+            if floor[pos] >= lam:
+                low[pos] = high[pos] = budget
                 continue
-            # invariant: the test below holds at lo and fails at hi, so once
-            # mid rounds onto lo or hi every further step rewrites the same
-            # value and stopping leaves (lo, hi) exactly as 100 steps would
-            lo, hi = 0.0, budget
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                if g * curve.deriv(mid) >= lam:
+            g, deriv = gains[pos], derivs[pos]
+            state = shared[pos]
+            lo, hi, depth, d = state
+            mid = 0.5 * (lo + hi)
+            while depth < 100 and mid != lo and mid != hi:
+                if d is None:
+                    d = g * deriv(mid)
+                if lam_lo <= d < lam_hi:
+                    break  # the paths part here
+                if d >= lam_hi:
                     lo = mid
                 else:
                     hi = mid
-            out[pos] = 0.5 * (lo + hi)
-        return out
+                depth += 1
+                d = None
+                mid = 0.5 * (lo + hi)
+            state[:] = lo, hi, depth, d
+            if d is None:
+                low[pos] = high[pos] = mid
+            else:
+                live.append((pos, lo, hi, depth, d))
+        while live:
+            deeper = []
+            for pos, lo, hi, depth, d in live:
+                mid = 0.5 * (lo + hi)
+                if d is None:
+                    d = gains[pos] * derivs[pos](mid)
+                if d >= lam:
+                    lo = mid
+                else:
+                    hi = mid
+                depth += 1
+                mid = 0.5 * (lo + hi)
+                if depth < 100 and mid != lo and mid != hi:
+                    low[pos], high[pos] = lo, hi
+                    deeper.append((pos, lo, hi, depth, None))
+                else:
+                    low[pos] = high[pos] = mid
+            live = deeper
+            if not exact and not (low.sum() <= budget < high.sum()):
+                break
+        return low
 
-    lam_hi = max(g * c.deriv(0.0) for g, c in zip(gains, curves))
-    if lam_hi <= 0.0:
-        u_star = np.zeros(len(idx))
-        return u_star, payoff(u_star)
-    u_star = control_at(0.0)
+    lam_lo = 0.0
+    u_star = control_at(0.0, lam_lo, lam_hi, exact=True)
     if u_star.sum() <= budget:
         return u_star, payoff(u_star)
-    lam_lo = 0.0
     for _ in range(200):
         lam = 0.5 * (lam_lo + lam_hi)
-        total = control_at(lam).sum()
-        if total > budget:
+        if control_at(lam, lam_lo, lam_hi, exact=False).sum() > budget:
             lam_lo = lam
         else:
             lam_hi = lam
         if lam_hi - lam_lo < tol * max(1.0, lam_hi):
             break
-    u_star = control_at(lam_hi)
+    u_star = control_at(lam_hi, lam_lo, lam_hi, exact=True)
     # land exactly on the face when the budget binds
     s = u_star.sum()
     if s > 0:

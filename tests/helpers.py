@@ -6,7 +6,8 @@ from itertools import combinations
 
 import numpy as np
 
-from opinionshape.curves import SaturatingCurve
+from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
+from opinionshape.dynamics import payoff_coefficients, payoff_fn
 from opinionshape.network import AgentPartition, InteractionGraph, random_partition
 
 
@@ -92,6 +93,89 @@ def random_instance(seed: int, max_nodes: int = 40):
     return graph, partition
 
 
+def ring_chords_instance(n: int, n_controlled: int, n_stubborn: int, seed: int):
+    """Weighted undirected ring plus one random chord per node, built in memory."""
+    rng = np.random.default_rng(seed)
+    adj = np.zeros((n, n))
+    for i in range(n):
+        j = (i + 1) % n
+        adj[i, j] = adj[j, i] = rng.uniform(0.5, 1.5)
+        k = int(rng.integers(0, n))
+        if k != i:
+            w = rng.uniform(0.1, 1.0)
+            adj[i, k] += w
+            adj[k, i] += w
+    graph = graph_from_P(adj / adj.sum(axis=1, keepdims=True), undirected=True)
+    sizes = (n_controlled, n - n_controlled - n_stubborn, n_stubborn)
+    return graph, random_partition(graph, sizes, 0.6, seed=seed)
+
+
+def reference_exact_optimum(
+    graph: InteractionGraph,
+    partition: AgentPartition,
+    budget: float,
+    tol: float = 1e-12,
+) -> tuple[np.ndarray, float]:
+    """Water-filling optimum by plain double bisection, the oracle for
+    ``optim.exact_optimum``: every probe of lam re-bisects every control
+    from [0, budget]."""
+    idx = list(partition.controlled)
+    payoff = payoff_fn(graph, partition)
+    if not idx:
+        return np.zeros(0), payoff(np.zeros(0))
+    coef = payoff_coefficients(graph, partition)
+    gains = coef[idx] * partition.alpha[idx]
+    curves = [partition.w[i] for i in idx]
+
+    def control_at(lam: float) -> np.ndarray:
+        # largest u in [0, budget] with gain * w'(u) >= lam, per control
+        out = np.zeros(len(idx))
+        for pos, (g, curve) in enumerate(zip(gains, curves)):
+            if g * curve.deriv(0.0) <= lam:
+                continue
+            if g * curve.deriv(budget) >= lam:
+                out[pos] = budget
+                continue
+            # invariant: the test below holds at lo and fails at hi, so once
+            # mid rounds onto lo or hi every further step rewrites the same
+            # value and stopping leaves (lo, hi) exactly as 100 steps would
+            lo, hi = 0.0, budget
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                if g * curve.deriv(mid) >= lam:
+                    lo = mid
+                else:
+                    hi = mid
+            out[pos] = 0.5 * (lo + hi)
+        return out
+
+    lam_hi = max(g * c.deriv(0.0) for g, c in zip(gains, curves))
+    if lam_hi <= 0.0:
+        u_star = np.zeros(len(idx))
+        return u_star, payoff(u_star)
+    u_star = control_at(0.0)
+    if u_star.sum() <= budget:
+        return u_star, payoff(u_star)
+    lam_lo = 0.0
+    for _ in range(200):
+        lam = 0.5 * (lam_lo + lam_hi)
+        total = control_at(lam).sum()
+        if total > budget:
+            lam_lo = lam
+        else:
+            lam_hi = lam
+        if lam_hi - lam_lo < tol * max(1.0, lam_hi):
+            break
+    u_star = control_at(lam_hi)
+    # land exactly on the face when the budget binds
+    s = u_star.sum()
+    if s > 0:
+        u_star = u_star * (budget / s) if abs(s - budget) < 1e-6 else u_star
+    return u_star, payoff(u_star)
+
+
 def brute_force_projection(vs: np.ndarray, budget: float) -> np.ndarray:
     """Projection oracle by exhaustive active-set enumeration.
 
@@ -144,3 +228,19 @@ class SolveCounter:
         if np.shape(a) == (self.n, self.n):
             self.calls += 1
         return self._solve(a, b)
+
+
+class DerivCounter:
+    """Counts ``deriv`` calls on the package's curve classes."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        for cls in (SaturatingCurve, LinearCurve, ConstantCurve):
+            monkeypatch.setattr(cls, "deriv", self._counting(cls.deriv))
+
+    def _counting(self, deriv):
+        def counted(curve, x):
+            self.calls += 1
+            return deriv(curve, x)
+
+        return counted

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,11 +21,45 @@ from opinionshape.optim import (
 )
 
 from helpers import (
+    DerivCounter,
     brute_force_projection,
     chain_instance,
     random_instance,
+    reference_exact_optimum,
+    ring_chords_instance,
     single_agent_instance,
 )
+
+CURVES = st.one_of(
+    st.floats(1e-3, 10.0).map(SaturatingCurve),
+    st.floats(0.0, 2.0).map(LinearCurve),
+    st.floats(0.0, 1.0).map(ConstantCurve),
+)
+
+
+@dataclass(frozen=True)
+class PeakedCurve:
+    """x - x^2 / 2: the marginal 1 - x turns negative past x = 1."""
+
+    def value(self, x: float) -> float:
+        return x - 0.5 * x * x
+
+    def deriv(self, x: float) -> float:
+        return 1.0 - x
+
+
+def with_curves(partition, curves):
+    """``partition`` with the given curves assigned to its controls in turn."""
+    w = {node: curves[k % len(curves)] for k, node in enumerate(partition.controlled)}
+    return replace(partition, w=w)
+
+
+def assert_matches_reference(graph, partition, budget):
+    u_star, payoff_star = exact_optimum(graph, partition, budget)
+    u_ref, payoff_ref = reference_exact_optimum(graph, partition, budget)
+    assert u_star.tobytes() == u_ref.tobytes()
+    assert payoff_star == payoff_ref
+    return u_star
 
 
 class TestProjection:
@@ -218,3 +254,56 @@ class TestExactOptimum:
             traj = run_exact_gd(graph, partition, 3.0, n_iters=20_000, step_scale=50.0)
             assert payoff_star >= traj.payoff[-1] - 1e-9
             assert payoff_star == pytest.approx(traj.payoff[-1], rel=1e-6)
+
+
+class TestExactOptimumMatchesReference:
+    """Shared-bracket bisection returns the plain double bisection's bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        curves=st.lists(CURVES, min_size=1, max_size=6),
+        budget=st.floats(1e-6, 200.0),
+    )
+    def test_property_bit_identical(self, seed, curves, budget):
+        graph, partition = random_instance(seed, max_nodes=30)
+        assert_matches_reference(graph, with_curves(partition, curves), budget)
+
+    @pytest.mark.parametrize("budget", [1e-6, 5.0, 200.0])
+    def test_karate(self, karate_graph, karate_partition, budget):
+        assert_matches_reference(karate_graph, karate_partition, budget)
+
+    @pytest.mark.parametrize("budget", [1e-6, 5.0, 200.0])
+    def test_step_cap_binds(self, karate_graph, karate_partition, budget):
+        # the 1e-60 curve's controls end ~100 halvings below the budget, so
+        # their bisection stops at the 100-step cap, not at a fixed point
+        # (its marginal of 1e60 at zero also runs the outer search to its cap)
+        partition = with_curves(karate_partition, [SaturatingCurve(1e-60), SaturatingCurve(0.1)])
+        assert_matches_reference(karate_graph, partition, budget)
+
+    def test_all_zero_derivatives(self, karate_graph, karate_partition):
+        partition = with_curves(karate_partition, [ConstantCurve(0.3), ConstantCurve(0.8)])
+        u_star = assert_matches_reference(karate_graph, partition, 5.0)
+        assert np.all(u_star == 0.0)
+
+    def test_budget_slack_single_control(self):
+        graph, partition = single_agent_instance(0.6, SaturatingCurve(0.1))
+        u_star = assert_matches_reference(graph, partition, 5.0)
+        assert u_star[0] == 5.0
+
+    def test_budget_slack_interior_maxima(self):
+        # each peaked control bisects to its maximum at u = 1, inside the budget
+        graph, partition = random_instance(3, max_nodes=30)
+        u_star = assert_matches_reference(graph, with_curves(partition, [PeakedCurve()]), 5.0)
+        assert u_star == pytest.approx(np.ones(len(u_star)), abs=1e-12)
+        assert u_star.sum() < 5.0
+
+    def test_wide_instance_needs_a_quarter_of_the_derivs(self, monkeypatch):
+        graph, partition = ring_chords_instance(400, n_controlled=80, n_stubborn=8, seed=1)
+        counter = DerivCounter(monkeypatch)
+        u_star, payoff_star = exact_optimum(graph, partition, 5.0)
+        shared_calls = counter.calls
+        counter.calls = 0
+        u_ref, payoff_ref = reference_exact_optimum(graph, partition, 5.0)
+        assert u_star.tobytes() == u_ref.tobytes() and payoff_star == payoff_ref
+        assert 4 * shared_calls <= counter.calls
