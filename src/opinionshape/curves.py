@@ -26,7 +26,11 @@ class SaturatingCurve:
         return x / (x + self.scale)
 
     def deriv(self, x: float) -> float:
-        return self.scale / (x + self.scale) ** 2
+        try:
+            return self.scale / (x + self.scale) ** 2
+        except OverflowError:
+            # the square left the float range; the derivative's limit is 0
+            return 0.0
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 from .curves import ConstantCurve, Curve
 from .dynamics import sample_poll_targets
 from .errors import InfeasibleError
-from .network import AgentPartition, InteractionGraph
+from .network import STUBBORN, AgentPartition, InteractionGraph
 from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, relative_gap
 from .sas import _tick_fast_updates
 
@@ -341,12 +341,8 @@ def run_general_rl(
     clocks = LocalClocks.zeros(n)
     cdf = graph.poll_cdf()
 
-    stubborn = np.zeros(n, dtype=bool)
-    stubborn[list(partition.stubborn)] = True
-    non_stubborn = np.flatnonzero(~stubborn)
-    pos_of = np.full(n, -1, dtype=int)
-    for node, pos in partition.control_index().items():
-        pos_of[node] = pos
+    codes = partition.node_codes()
+    non_stubborn = np.flatnonzero(codes != STUBBORN)
 
     ks = [0]
     us = [u.copy()]
@@ -362,7 +358,7 @@ def run_general_rl(
         alpha_node[list(partition.controlled)] = a
 
         steps = schedule.a(clocks.counts[pollers])
-        cp = pos_of[pollers]
+        cp = codes[pollers]
         owns = cp >= 0
         diag = np.zeros(len(pollers))
         if owns.any() and n_ctrl:

@@ -13,6 +13,7 @@ its result is cached on the graph.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -21,6 +22,10 @@ import numpy as np
 
 from .curves import Curve, SaturatingCurve
 from .errors import DanglingNodeError, EdgeListParseError, InfeasibleError
+
+# node codes off the controlled set, whose codes are control positions
+UNCONTROLLED = -1
+STUBBORN = -2
 
 
 @dataclass(frozen=True)
@@ -102,11 +107,17 @@ class PollTable:
     draw picks what ``(r < cumsum(P)[row]).argmax()`` picks.  Each row's
     last neighbour is pinned at exactly 1, so rounding in the row sum can
     never send a draw past it.
+
+    Scalar draws bisect Python lists of the same table instead (see
+    ``row_lists``): per draw that is cheaper than a numpy call.
     """
 
     indices: np.ndarray
     keys: np.ndarray
     shape: tuple[int, int]
+    _lists: tuple[list[int], list[float], list[int]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_matrix(cls, P: np.ndarray) -> "PollTable":
@@ -121,16 +132,32 @@ class PollTable:
         cum[ends - 1] = 1.0
         return cls(indices=cols, keys=rows + 1j * cum, shape=P.shape)
 
+    def row_lists(self) -> tuple[list[int], list[float], list[int]]:
+        """Row start offsets (n + 1 of them), cumulative weights and
+        neighbours as Python lists, built on the first call.
+
+        Row ``i``'s neighbour for the uniform ``r`` is
+        ``cols[bisect_right(cum, r, ptr[i], ptr[i + 1])]``: the first
+        cumulative weight above ``r`` inside the row's block, which is what
+        the complex-key search finds, so both pick the same neighbour.
+        """
+        lists = self._lists
+        if lists is None:
+            ptr = np.searchsorted(self.keys.real, np.arange(self.shape[0] + 1))
+            lists = (ptr.tolist(), self.keys.imag.tolist(), self.indices.tolist())
+            object.__setattr__(self, "_lists", lists)
+        return lists
+
     def draw(self, rows, r):
         """Polled neighbour per (row, uniform) pair: scalars, or ``rows``
         broadcast against the array ``r``."""
         if isinstance(r, float):
-            query = complex(rows, r)
-        else:
-            # filling the parts skips the temporaries of rows + 1j * r
-            query = np.empty(np.shape(r), dtype=complex)
-            query.real = rows
-            query.imag = r
+            ptr, cum, cols = self.row_lists()
+            return cols[bisect_right(cum, r, ptr[rows], ptr[rows + 1])]
+        # filling the parts skips the temporaries of rows + 1j * r
+        query = np.empty(np.shape(r), dtype=complex)
+        query.real = rows
+        query.imag = r
         return self.indices[np.searchsorted(self.keys, query, side="right")]
 
 
@@ -149,6 +176,7 @@ class AgentPartition:
     alpha: np.ndarray
     h: dict[int, float]
     w: dict[int, Curve]
+    _codes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         classes = [set(self.controlled), set(self.uncontrolled), set(self.stubborn)]
@@ -177,6 +205,28 @@ class AgentPartition:
     def control_index(self) -> dict[int, int]:
         """Map a controlled node id to its position in the control vector."""
         return {node: pos for pos, node in enumerate(self.controlled)}
+
+    def node_codes(self) -> np.ndarray:
+        """Read-only per-node class code, built on the first call.
+
+        A controlled node's code is its position in the control vector;
+        uncontrolled nodes read ``UNCONTROLLED`` and stubborn ones
+        ``STUBBORN``, both negative.
+        """
+        codes = self._codes
+        if codes is None:
+            codes = np.full(self.node_count, UNCONTROLLED, dtype=int)
+            codes[list(self.stubborn)] = STUBBORN
+            codes[list(self.controlled)] = np.arange(len(self.controlled))
+            codes.setflags(write=False)
+            object.__setattr__(self, "_codes", codes)
+        return codes
+
+    def __setstate__(self, state):
+        # unpickled arrays come back writeable; the cached codes must not
+        self.__dict__.update(state)
+        if self._codes is not None:
+            self._codes.setflags(write=False)
 
     def w_values(self, u: np.ndarray) -> np.ndarray:
         return np.array([self.w[n].value(float(u[p])) for p, n in enumerate(self.controlled)])

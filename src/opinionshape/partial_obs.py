@@ -18,6 +18,7 @@ the full payoff, so the logged gap need not reach zero.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,15 +75,17 @@ def relay_token(
 
     Terminal states are the observed set united with the stubborn set.
     Pass ``observed`` as a set when relaying many tokens: membership is
-    tested on every hop.
+    tested on every hop.  Each hop is the poll table's scalar draw, with
+    one uniform, on lists bound once per token.
     """
-    table = graph.poll_cdf()
+    ptr, cum, cols = graph.poll_cdf().row_lists()
+    stubborn = partition.stubborn
     cur = int(node)
     hops = 0
     while True:
-        cur = int(table.draw(cur, rng.random()))
+        cur = cols[bisect_right(cum, rng.random(), ptr[cur], ptr[cur + 1])]
         hops += 1
-        if cur in observed or cur in partition.stubborn:
+        if cur in observed or cur in stubborn:
             return Token(origin=int(node), terminal=cur, hops=hops, stamp=stamp)
         if hops > HOP_CAP:
             raise NonAbsorbingError(f"token from node {node} exceeded {HOP_CAP} hops")

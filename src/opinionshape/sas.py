@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import payoff_fn, sample_poll_targets
 from .errors import DivergenceError
-from .network import ActivationModel, AgentPartition, InteractionGraph, stationary_system
+from .network import STUBBORN, ActivationModel, AgentPartition, InteractionGraph, stationary_system
 from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, relative_gap
 
 # sanity ceiling on table entries: alpha_max * max w' / alpha_min, slack 10x
@@ -127,14 +127,9 @@ def run_sas(
     payoff = payoff_fn(graph, partition)
     cdf = graph.poll_cdf()
 
-    stubborn = np.zeros(n, dtype=bool)
-    stubborn[list(partition.stubborn)] = True
-    non_stubborn = np.flatnonzero(~stubborn)
-    ctrl_index = partition.control_index()
-    pos_of = np.full(n, -1, dtype=int)
-    for node, pos in ctrl_index.items():
-        pos_of[node] = pos
-    ctrl_idx = np.array(partition.controlled, dtype=int)
+    codes = partition.node_codes()
+    free = codes != STUBBORN
+    non_stubborn = np.flatnonzero(free)
     alpha = partition.alpha
 
     bound = _table_bound(partition)
@@ -149,11 +144,11 @@ def run_sas(
             pollers = non_stubborn
         else:
             active = rng.random(n) < activation.q
-            pollers = np.flatnonzero(active & ~stubborn)
+            pollers = np.flatnonzero(active & free)
         polled = sample_poll_targets(cdf, pollers, rng)
         if len(pollers):
             diag = np.zeros(len(pollers))
-            cp = pos_of[pollers]
+            cp = codes[pollers]
             owns = cp >= 0
             if owns.any() and n_ctrl:
                 w_der = partition.w_derivs(u)

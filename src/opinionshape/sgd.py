@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import payoff_fn
 from .errors import NonAbsorbingError
-from .network import AgentPartition, InteractionGraph
+from .network import STUBBORN, AgentPartition, InteractionGraph
 from .optim import Trajectory, project_budget_simplex, relative_gap
 
 WALK_STEP_CAP = 10_000_000
@@ -32,7 +32,14 @@ def _walk_batch(
     scheme: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Simulate one walk per start; returns contributions (len(starts), |S|)."""
+    """Simulate one walk per start; returns contributions (len(starts), |S|).
+
+    The walks move in lockstep.  A step draws the kill coins of the live
+    walks (scheme 1), then the poll uniforms of the movers, each in walk-id
+    order.  The loop carries only the live walks' ids, positions and
+    weights, and drops a walk as soon as it is absorbed, killed or left
+    with zero weight, none of which uses a uniform.
+    """
     if scheme not in (1, 2):
         raise ValueError(f"unknown sampling scheme {scheme}")
     n_walks = len(starts)
@@ -43,70 +50,48 @@ def _walk_batch(
 
     table = graph.poll_cdf()
     alpha = partition.alpha
-    stubborn = np.zeros(graph.node_count, dtype=bool)
-    stubborn[list(partition.stubborn)] = True
-    pos_of = np.full(graph.node_count, -1, dtype=int)
-    for node, pos in partition.control_index().items():
-        pos_of[node] = pos
-    if np.any(stubborn[starts]):
+    survive = 1.0 - alpha
+    codes = partition.node_codes()
+    cur = np.asarray(starts, dtype=int)
+    if np.any(codes[cur] == STUBBORN):
         raise ValueError("walks must start outside the stubborn set")
-
-    pos = starts.astype(int).copy()
-    rows = np.arange(n_walks)
-    alive = np.ones(n_walks, dtype=bool)
-    weight = np.ones(n_walks)
+    ids = np.arange(n_walks)
 
     if scheme == 2:
-        # arrival contribution at the start node itself
-        owns = pos_of[pos] >= 0
-        contrib[rows[owns], pos_of[pos[owns]]] += weight[owns] * alpha[pos[owns]]
+        weight = np.ones(n_walks)
+        # arrival contribution at the start node itself, with weight 1
+        owns = codes[cur] >= 0
+        contrib[owns, codes[cur[owns]]] = alpha[cur[owns]]
 
     steps = 0
-    while alive.any():
+    while len(ids):
         steps += 1
         if steps > WALK_STEP_CAP:
-            stuck = int(starts[np.flatnonzero(alive)[0]])
             raise NonAbsorbingError(
-                f"walk from node {stuck} exceeded {WALK_STEP_CAP} steps"
+                f"walk from node {int(starts[ids[0]])} exceeded {WALK_STEP_CAP} steps"
             )
-        idx = np.flatnonzero(alive)
-        cur = pos[idx]
-
         if scheme == 1:
-            absorbed = stubborn[cur]
-            alive[idx[absorbed]] = False
-            live = idx[~absorbed]
-            cur = pos[live]
-            coin = rng.random(len(live))
-            killed = coin < alpha[cur]
-            hit = live[killed]
-            cp = pos_of[pos[hit]]
-            contrib[hit, cp] += 1.0
-            alive[hit] = False
-            movers = live[~killed]
+            killed = rng.random(len(ids)) < alpha[cur]
+            if np.count_nonzero(killed):
+                # a killed walk scores once and stops
+                contrib[ids[killed], codes[cur[killed]]] = 1.0
+                movers = ~killed
+                ids, cur = ids[movers], cur[movers]
+                if not len(ids):
+                    break
+        nxt = table.draw(cur, rng.random(len(ids)))
+        code = codes[nxt]
+        if scheme == 1:
+            keep = code != STUBBORN
+            ids, cur = ids[keep], nxt[keep]
         else:
-            movers = idx
-
-        if len(movers) == 0:
-            continue
-        nxt = table.draw(pos[movers], rng.random(len(movers)))
-
-        if scheme == 2:
-            prev = pos[movers]
-            arrived_s0 = stubborn[nxt]
-            alive[movers[arrived_s0]] = False
-            go = ~arrived_s0
-            mv = movers[go]
-            weight[mv] *= 1.0 - alpha[prev[go]]
-            dead_weight = weight[mv] == 0.0
-            tgt = nxt[go]
-            owns = pos_of[tgt] >= 0
-            contrib[mv[owns], pos_of[tgt[owns]]] += weight[mv[owns]] * alpha[tgt[owns]]
-            pos[mv] = tgt
+            weight = weight * survive[cur]
             # zero-weight walks can contribute nothing further
-            alive[mv[dead_weight]] = False
-        else:
-            pos[movers] = nxt
+            keep = (code != STUBBORN) & (weight != 0.0)
+            ids, cur, weight, code = ids[keep], nxt[keep], weight[keep], code[keep]
+            owns = code >= 0
+            if np.count_nonzero(owns):
+                contrib[ids[owns], code[owns]] += weight[owns] * alpha[cur[owns]]
 
     return contrib
 

@@ -8,7 +8,10 @@ import numpy as np
 
 from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
 from opinionshape.dynamics import payoff_coefficients, payoff_fn
+from opinionshape.errors import NonAbsorbingError
 from opinionshape.network import AgentPartition, InteractionGraph, random_partition
+from opinionshape.partial_obs import HOP_CAP, Token
+from opinionshape.sgd import WALK_STEP_CAP
 
 
 def graph_from_P(P: np.ndarray, undirected: bool = False) -> InteractionGraph:
@@ -174,6 +177,120 @@ def reference_exact_optimum(
     if s > 0:
         u_star = u_star * (budget / s) if abs(s - budget) < 1e-6 else u_star
     return u_star, payoff(u_star)
+
+
+def reference_walk_batch(
+    graph: InteractionGraph,
+    partition: AgentPartition,
+    starts: np.ndarray,
+    scheme: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """``sgd._walk_batch`` on full-length ``alive`` masks, the oracle for the
+    live-walk kernel: one walk per start, contributions (len(starts), |S|)."""
+    if scheme not in (1, 2):
+        raise ValueError(f"unknown sampling scheme {scheme}")
+    n_walks = len(starts)
+    n_ctrl = len(partition.controlled)
+    contrib = np.zeros((n_walks, n_ctrl))
+    if n_walks == 0:
+        return contrib
+
+    table = graph.poll_cdf()
+    alpha = partition.alpha
+    stubborn = np.zeros(graph.node_count, dtype=bool)
+    stubborn[list(partition.stubborn)] = True
+    pos_of = np.full(graph.node_count, -1, dtype=int)
+    for node, pos in partition.control_index().items():
+        pos_of[node] = pos
+    if np.any(stubborn[starts]):
+        raise ValueError("walks must start outside the stubborn set")
+
+    pos = starts.astype(int).copy()
+    rows = np.arange(n_walks)
+    alive = np.ones(n_walks, dtype=bool)
+    weight = np.ones(n_walks)
+
+    if scheme == 2:
+        # arrival contribution at the start node itself
+        owns = pos_of[pos] >= 0
+        contrib[rows[owns], pos_of[pos[owns]]] += weight[owns] * alpha[pos[owns]]
+
+    steps = 0
+    while alive.any():
+        steps += 1
+        if steps > WALK_STEP_CAP:
+            stuck = int(starts[np.flatnonzero(alive)[0]])
+            raise NonAbsorbingError(
+                f"walk from node {stuck} exceeded {WALK_STEP_CAP} steps"
+            )
+        idx = np.flatnonzero(alive)
+        cur = pos[idx]
+
+        if scheme == 1:
+            absorbed = stubborn[cur]
+            alive[idx[absorbed]] = False
+            live = idx[~absorbed]
+            cur = pos[live]
+            coin = rng.random(len(live))
+            killed = coin < alpha[cur]
+            hit = live[killed]
+            cp = pos_of[pos[hit]]
+            contrib[hit, cp] += 1.0
+            alive[hit] = False
+            movers = live[~killed]
+        else:
+            movers = idx
+
+        if len(movers) == 0:
+            continue
+        nxt = table.draw(pos[movers], rng.random(len(movers)))
+
+        if scheme == 2:
+            prev = pos[movers]
+            arrived_s0 = stubborn[nxt]
+            alive[movers[arrived_s0]] = False
+            go = ~arrived_s0
+            mv = movers[go]
+            weight[mv] *= 1.0 - alpha[prev[go]]
+            dead_weight = weight[mv] == 0.0
+            tgt = nxt[go]
+            owns = pos_of[tgt] >= 0
+            contrib[mv[owns], pos_of[tgt[owns]]] += weight[mv[owns]] * alpha[tgt[owns]]
+            pos[mv] = tgt
+            # zero-weight walks can contribute nothing further
+            alive[mv[dead_weight]] = False
+        else:
+            pos[movers] = nxt
+
+    return contrib
+
+
+def reference_relay_token(
+    graph: InteractionGraph,
+    partition: AgentPartition,
+    observed: tuple[int, ...] | frozenset[int],
+    node: int,
+    rng: np.random.Generator,
+    stamp: int = 0,
+) -> Token:
+    """``partial_obs.relay_token`` with one complex-key ``searchsorted`` per
+    hop, the oracle for the list-backed relay: poll once from ``node`` and
+    relay through hidden agents until observed.
+
+    Terminal states are the observed set united with the stubborn set.
+    """
+    table = graph.poll_cdf()
+    cur = int(node)
+    hops = 0
+    while True:
+        query = complex(cur, rng.random())
+        cur = int(table.indices[np.searchsorted(table.keys, query, side="right")])
+        hops += 1
+        if cur in observed or cur in partition.stubborn:
+            return Token(origin=int(node), terminal=cur, hops=hops, stamp=stamp)
+        if hops > HOP_CAP:
+            raise NonAbsorbingError(f"token from node {node} exceeded {HOP_CAP} hops")
 
 
 def brute_force_projection(vs: np.ndarray, budget: float) -> np.ndarray:

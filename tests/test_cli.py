@@ -118,3 +118,10 @@ def test_divergence_is_caught_under_python_O(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 3, proc.stderr
+
+
+@pytest.mark.parametrize("scheme", ["gd", "sas", "sgd1", "sgd2", "partial"])
+def test_huge_budget_keeps_exit_contract(tmp_path, scheme):
+    # (budget + scale) ** 2 leaves the float range above about 1.34e154
+    cfg = write_config(tmp_path, budget=1e160, scheme=scheme, n_iters=20, n_runs=1, out_dir=tmp_path / "big")
+    assert main(["run", "--config", str(cfg)]) in (0, 2, 3)

@@ -46,7 +46,7 @@ def csv_digests(out_dir: Path) -> dict[str, str]:
     }
 
 
-def run_short(tmp_path: Path, instance: str, scheme: str) -> dict[str, str]:
+def run_short(tmp_path: Path, instance: str, scheme: str, **overrides) -> dict[str, str]:
     out = tmp_path / f"{instance}_{scheme}"
     config = parse_config(CONFIG, {"scheme": scheme, "n_iters": 50, "n_runs": 2, "out_dir": str(out)})
     if instance == "ring":
@@ -56,7 +56,7 @@ def run_short(tmp_path: Path, instance: str, scheme: str) -> dict[str, str]:
             config, network=str(edges), weighted=True,
             s_size=4, s1_size=30, s0_size=6, budget=3.0, seed=5,
         )
-    run_experiment(config)
+    run_experiment(replace(config, **overrides))
     return csv_digests(out)
 
 
@@ -152,3 +152,46 @@ def test_csv_bytes_match_golden_digests(tmp_path, instance, scheme):
 
 def test_simulator_outputs_match_golden_digests(karate_graph, karate_partition):
     assert simulator_digests(karate_graph, karate_partition) == GOLDEN_SIMULATORS
+
+
+# sampler edge cases: alpha = 1 kills every scheme-1 walk at the first
+# controlled node and zeroes scheme-2 weights there; observed_fraction = 0
+# hides every non-controlled agent, so tokens relay for many hops
+GOLDEN_EDGES = {
+    ('karate', 'sgd1', 'alpha', 1.0): {
+        'sgd1_seed0.csv': 'dc6d04105c00da5f5ab3f5b5543896f032a2f63e7d906daaeabd6e332fc554d9',
+        'sgd1_seed1.csv': 'dfa43d5c10c171eeb50cc34eaa856233e8347666fbea5895d9d15165d2e58a57',
+        'sgd1_summary.csv': '5118c2ff204d2fe7f671f64fab2d5925a234a6fb70bc49bdc43adaf5322acd12',
+    },
+    ('karate', 'sgd2', 'alpha', 1.0): {
+        'sgd2_seed0.csv': '7d043f3feab8f6ef926f46907c376a9f20abf8572bfc2c04b471846652362c4e',
+        'sgd2_seed1.csv': '5a654d38bdfb33ec57ff79c23832dfb40ee81c39ec007313189d32775c086888',
+        'sgd2_summary.csv': '624e5b8aedb5d5ad9cd0a6ce5ddf21d774788f0b6a008f7e085c1fd923319da3',
+    },
+    ('karate', 'partial', 'observed_fraction', 0.0): {
+        'partial_seed0.csv': '796784eb16852af11a247e5d10d473b095b3cb8b1dfb2d993c4780e9ed905c73',
+        'partial_seed1.csv': '69761c73e06960668759cefaf7141067165f05501c719f6ca0457636abe7d0a3',
+        'partial_summary.csv': '99985cbbb6f534e952f28390697c0e33e4eac0a0b75792b42b46368a3926e6ae',
+    },
+    ('ring', 'sgd1', 'alpha', 1.0): {
+        'sgd1_seed5.csv': '7e5e65b0b2b9f0af9fc2f79a184b79447b7a29812e787c26af40c30dd6d5ede5',
+        'sgd1_seed6.csv': 'f3c6037cc95d17e3280e5c1081eb3cefc9027f030c8eb653dd4071d9949cc85d',
+        'sgd1_summary.csv': '7a3545ab897bb91b6114d12f47a2b271d39c62c736d8dd562b5eeaa84f9653b2',
+    },
+    ('ring', 'sgd2', 'alpha', 1.0): {
+        'sgd2_seed5.csv': '7f4a677abff6f0a9d87ea084fa31f8fb1ed4eb53af9b0465f12378ee7cd97bf7',
+        'sgd2_seed6.csv': '94a50026d15a0b7ffbeef01e3e856660db50accfcc02702c674e8881f56d6ede',
+        'sgd2_summary.csv': '939394d667ec25d8a73e372e9cb324c5995d3665be5b58057c72a7025ccfd3fe',
+    },
+    ('ring', 'partial', 'observed_fraction', 0.0): {
+        'partial_seed5.csv': '8758c39306f79ea4a3646b688d6a2f514daca5f5fcb4cebca551ae94ab1072eb',
+        'partial_seed6.csv': 'fe0a1a3315c8eabee93c3a0708a398c72ed7cb1f8f255855e41a59dfc8bd2fa7',
+        'partial_summary.csv': 'd1f33e54fea1e10d4ebda3b28e61a478bab096275e68e0061db7aef1ed2f4b5a',
+    },
+}
+
+
+@pytest.mark.parametrize("instance, scheme, key, value", sorted(GOLDEN_EDGES))
+def test_sampler_edge_cases_match_golden_digests(tmp_path, instance, scheme, key, value):
+    digests = run_short(tmp_path, instance, scheme, **{key: value})
+    assert digests == GOLDEN_EDGES[instance, scheme, key, value]

@@ -1,19 +1,37 @@
-"""The cached poll table: exact draws against the dense reference, and the last-neighbour pin."""
+"""The cached poll table: exact draws against the dense reference, the last-neighbour pin,
+and the walk and relay kernels against their previous implementations."""
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opinionshape.curves import SaturatingCurve
 from opinionshape.dynamics import sample_poll_targets
-from opinionshape.network import AgentPartition, bundled_network_path, load_edge_list, row_normalize
+from opinionshape.network import (
+    STUBBORN,
+    UNCONTROLLED,
+    AgentPartition,
+    bundled_network_path,
+    load_edge_list,
+    row_normalize,
+)
 from opinionshape.optim import run_exact_gd
 from opinionshape.partial_obs import relay_token
 from opinionshape.sgd import _walk_batch
 
-from helpers import graph_from_P
+from helpers import (
+    graph_from_P,
+    random_instance,
+    reference_relay_token,
+    reference_walk_batch,
+    ring_chords_instance,
+)
 
 # the largest double below 1; karate rows 2 and 3 cumulate to exactly this
 TOP = 1.0 - 2.0**-53
@@ -122,3 +140,114 @@ class TestLastNeighbourPin:
         assert karate_graph.P[2, 33] == 0.0
         contrib = _walk_batch(karate_graph, partition, np.array([2]), 2, ConstantUniforms(TOP))
         assert np.array_equal(contrib, np.zeros((1, 1)))
+
+
+@st.composite
+def sampler_instances(draw):
+    """A random_instance or ring_chords_instance, its controls' alpha
+    optionally raised to 1 (scheme-2 weights then reach exactly 0)."""
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        graph, partition = random_instance(seed)
+    else:
+        n = draw(st.integers(8, 60))
+        n_stubborn = draw(st.integers(1, n // 4))
+        n_controlled = draw(st.integers(1, n - n_stubborn - 1))
+        graph, partition = ring_chords_instance(n, n_controlled, n_stubborn, seed)
+    ctrl = list(partition.controlled)
+    alpha = partition.alpha.copy()
+    mode = draw(st.sampled_from(["as drawn", "all one", "mixed"]))
+    if mode == "all one":
+        alpha[ctrl] = 1.0
+    elif mode == "mixed":
+        raise_to_one = draw(st.lists(st.booleans(), min_size=len(ctrl), max_size=len(ctrl)))
+        alpha[[c for c, up in zip(ctrl, raise_to_one) if up]] = 1.0
+    return graph, replace(partition, alpha=alpha)
+
+
+class TestWalkKernelMatchesReference:
+    """The live-walk kernel gives the previous kernel's contributions bit for
+    bit and leaves the generator in the same state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=sampler_instances(), scheme=st.sampled_from([1, 2]), data=st.data())
+    def test_random_starts(self, instance, scheme, data):
+        graph, partition = instance
+        free = [i for i in range(graph.node_count) if i not in partition.stubborn]
+        # a multiset: repeated starts and starts on controlled nodes
+        starts = np.array(data.draw(st.lists(st.sampled_from(free), max_size=3 * len(free))), dtype=int)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _walk_batch(graph, partition, starts, scheme, rng)
+        want = reference_walk_batch(graph, partition, starts, scheme, ref_rng)
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("scheme", [1, 2])
+    @pytest.mark.parametrize("alpha", [0.6, 1.0])
+    def test_karate_every_start_repeated(self, karate_graph, karate_partition, scheme, alpha):
+        partition = replace(karate_partition, alpha=np.where(karate_partition.alpha > 0, alpha, 0.0))
+        free = [i for i in range(karate_graph.node_count) if i not in partition.stubborn]
+        starts = np.repeat(free, 3)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(5):
+            got = _walk_batch(karate_graph, partition, starts, scheme, rng)
+            want = reference_walk_batch(karate_graph, partition, starts, scheme, ref_rng)
+            assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()
+
+
+class TestRelayMatchesReference:
+    """The list-backed relay gives the previous relay's tokens and leaves the
+    generator in the same state, also when stubborn agents are hidden."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=sampler_instances(), data=st.data())
+    def test_random_observed_sets(self, instance, data):
+        graph, partition = instance
+        n = graph.node_count
+        # any subset: hidden stubborn agents must still end a relay
+        observed = data.draw(st.frozensets(st.integers(0, n - 1)))
+        if data.draw(st.booleans()):
+            observed = tuple(sorted(observed))
+        nodes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [relay_token(graph, partition, observed, v, rng, stamp=k) for k, v in enumerate(nodes)]
+        want = [reference_relay_token(graph, partition, observed, v, ref_rng, stamp=k) for k, v in enumerate(nodes)]
+        assert got == want
+        assert rng.random() == ref_rng.random()
+
+
+class TestSharedLookups:
+    def test_scalar_lists_are_built_lazily_and_once(self):
+        graph = load_edge_list(bundled_network_path("karate"))
+        table = graph.poll_cdf()
+        sample_poll_targets(table, np.arange(graph.node_count), np.random.default_rng(0))
+        assert table._lists is None
+        lists = table.row_lists()
+        assert table.row_lists() is lists
+        ptr, cum, cols = lists
+        assert ptr[0] == 0 and ptr[-1] == len(cum) == len(cols)
+        assert np.array_equal(np.diff(ptr), (graph.P > 0).sum(axis=1))
+
+    def test_node_codes(self, karate_partition):
+        codes = karate_partition.node_codes()
+        assert karate_partition.node_codes() is codes
+        assert [codes[i] for i in karate_partition.controlled] == list(range(len(karate_partition.controlled)))
+        assert all(codes[i] == UNCONTROLLED for i in karate_partition.uncontrolled)
+        assert all(codes[i] == STUBBORN for i in karate_partition.stubborn)
+        assert not codes.flags.writeable
+        assert not pickle.loads(pickle.dumps(karate_partition)).node_codes().flags.writeable
+
+    def test_replaced_partition_gets_its_own_codes(self, karate_partition):
+        karate_partition.node_codes()
+        moved = replace(
+            karate_partition,
+            controlled=karate_partition.stubborn,
+            stubborn=karate_partition.controlled,
+            alpha=np.where(np.isin(np.arange(34), karate_partition.stubborn), 0.5, 0.0),
+            h={i: 0.5 for i in karate_partition.controlled},
+            w={i: karate_partition.w[karate_partition.controlled[0]] for i in karate_partition.stubborn},
+        )
+        assert all(moved.node_codes()[i] == STUBBORN for i in karate_partition.controlled)
