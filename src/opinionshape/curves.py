@@ -2,12 +2,16 @@
 
 A curve maps a nonnegative control level into [0, 1] and carries its own
 derivative; every gradient-based scheme in the package consumes the pair.
+The built-in curves also evaluate a float array in one call
+(``values``/``derivs``), with the same bits as their scalar methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Protocol
+
+import numpy as np
 
 
 class Curve(Protocol):
@@ -32,6 +36,20 @@ class SaturatingCurve:
             # the square left the float range; the derivative's limit is 0
             return 0.0
 
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        # IEEE add and divide round in numpy exactly as on Python floats
+        return xs / (xs + self.scale)
+
+    def derivs(self, xs: np.ndarray) -> np.ndarray:
+        # Python's ** is libm pow, which numpy's square and power do not
+        # match in the last bit, so the square stays a Python float op
+        s = self.scale
+        points = xs.tolist()
+        try:
+            return np.array([s / (x + s) ** 2 for x in points])
+        except OverflowError:
+            return np.array([self.deriv(x) for x in points])
+
 
 @dataclass(frozen=True)
 class LinearCurve:
@@ -45,6 +63,14 @@ class LinearCurve:
     def deriv(self, x: float) -> float:
         return self.slope
 
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        # a Python float product overflows to inf silently; so does this one
+        with np.errstate(over="ignore"):
+            return self.slope * xs
+
+    def derivs(self, xs: np.ndarray) -> np.ndarray:
+        return np.full(len(xs), self.slope, dtype=float)
+
 
 @dataclass(frozen=True)
 class ConstantCurve:
@@ -57,3 +83,9 @@ class ConstantCurve:
 
     def deriv(self, x: float) -> float:
         return 0.0
+
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        return np.full(len(xs), self.level, dtype=float)
+
+    def derivs(self, xs: np.ndarray) -> np.ndarray:
+        return np.zeros(len(xs))

@@ -198,7 +198,7 @@ def run_scheme(
             g, p, config.budget,
             n_iters=config.n_iters,
             step_scale=config.gd_step_scale,
-            payoff_star=star,
+            payoff_star=star, collect_timings=collect_timings,
         )
     if config.scheme == "sas":
         return sas.run_sas(

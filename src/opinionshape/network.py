@@ -177,6 +177,9 @@ class AgentPartition:
     h: dict[int, float]
     w: dict[int, Curve]
     _codes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _groups: tuple[tuple[Curve, np.ndarray], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         classes = [set(self.controlled), set(self.uncontrolled), set(self.stubborn)]
@@ -222,17 +225,57 @@ class AgentPartition:
             object.__setattr__(self, "_codes", codes)
         return codes
 
+    def curve_groups(self) -> tuple[tuple[Curve, np.ndarray], ...]:
+        """Controls grouped by reward-curve object, built on the first call.
+
+        One ``(curve, positions)`` pair per distinct curve object, in order
+        of first appearance, with read-only control positions.
+        """
+        groups = self._groups
+        if groups is None:
+            members: dict[int, tuple[Curve, list[int]]] = {}
+            for pos, node in enumerate(self.controlled):
+                curve = self.w[node]
+                members.setdefault(id(curve), (curve, []))[1].append(pos)
+            groups = tuple((curve, np.array(positions)) for curve, positions in members.values())
+            for _, positions in groups:
+                positions.setflags(write=False)
+            object.__setattr__(self, "_groups", groups)
+        return groups
+
     def __setstate__(self, state):
-        # unpickled arrays come back writeable; the cached codes must not
+        # unpickled arrays come back writeable; the cached ones must not
         self.__dict__.update(state)
         if self._codes is not None:
             self._codes.setflags(write=False)
+        for _, positions in self._groups or ():
+            positions.setflags(write=False)
 
     def w_values(self, u: np.ndarray) -> np.ndarray:
-        return np.array([self.w[n].value(float(u[p])) for p, n in enumerate(self.controlled)])
+        """w_i(u_i) per control, one array call per batched curve."""
+        return self._eval_curves(u, "values", "value")
 
     def w_derivs(self, u: np.ndarray) -> np.ndarray:
-        return np.array([self.w[n].deriv(float(u[p])) for p, n in enumerate(self.controlled)])
+        """w_i'(u_i) per control, one array call per batched curve."""
+        return self._eval_curves(u, "derivs", "deriv")
+
+    def _eval_curves(self, u: np.ndarray, batch: str, point: str) -> np.ndarray:
+        # bit for bit np.array([w[node].<point>(float(u[pos])) for ...]);
+        # a curve without the array method <batch> goes point by point
+        u = np.asarray(u, dtype=float)
+        groups = self.curve_groups()
+        if len(groups) == 1 and hasattr(groups[0][0], batch):
+            # one curve covers every control: no gather, no scatter
+            return getattr(groups[0][0], batch)(u)
+        out = np.empty(len(self.controlled))
+        for curve, positions in groups:
+            xs = u[positions]
+            if hasattr(curve, batch):
+                out[positions] = getattr(curve, batch)(xs)
+            else:
+                f = getattr(curve, point)
+                out[positions] = [f(x) for x in xs.tolist()]
+        return out
 
 
 @dataclass(frozen=True)

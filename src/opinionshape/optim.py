@@ -12,6 +12,7 @@ the gap reference for experiment runs.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,11 +131,13 @@ def run_exact_gd(
     step_scale: float = 1.0,
     payoff_star: float | None = None,
     record_every: int = 1,
+    collect_timings: bool = False,
 ) -> Trajectory:
     """Projected gradient ascent with diminishing step step_scale / (k + 1).
 
     Deterministic; the trajectory records the initial point and every
-    ``record_every``-th iterate plus the final one.
+    ``record_every``-th iterate plus the final one.  With collect_timings,
+    ``iter_seconds`` holds the wall time of every step.
     """
     n_ctrl = len(partition.controlled)
     u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
@@ -143,9 +146,14 @@ def run_exact_gd(
     gains = payoff_coefficients(graph, partition)[idx] * partition.alpha[idx]
 
     ks, us, pays = [0], [u.copy()], [payoff(u)]
+    times = [] if collect_timings else None
     for k in range(n_iters):
-        grad = gains * partition.w_derivs(u) if n_ctrl else np.zeros(0)
-        u = project_budget_simplex(u + (step_scale / (k + 1)) * grad, budget) if n_ctrl else u
+        t0 = time.perf_counter() if collect_timings else 0.0
+        if n_ctrl:
+            grad = gains * partition.w_derivs(u)
+            u = project_budget_simplex(u + (step_scale / (k + 1)) * grad, budget)
+        if collect_timings:
+            times.append(time.perf_counter() - t0)
         if (k + 1) % record_every == 0 or k == n_iters - 1:
             ks.append(k + 1)
             us.append(u.copy())
@@ -155,6 +163,7 @@ def run_exact_gd(
         ks=np.array(ks),
         u=np.array(us),
         payoff=np.array(pays),
+        iter_seconds=np.array(times) if collect_timings else None,
     )
     if payoff_star is not None:
         traj.rel_gap = relative_gap(traj.payoff, payoff_star)

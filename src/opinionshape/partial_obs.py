@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex
 HOP_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """Relay record: origin agent, terminal observed agent, hop count, stamp."""
 
     origin: int
@@ -86,7 +85,7 @@ def relay_token(
         cur = cols[bisect_right(cum, rng.random(), ptr[cur], ptr[cur + 1])]
         hops += 1
         if cur in observed or cur in stubborn:
-            return Token(origin=int(node), terminal=cur, hops=hops, stamp=stamp)
+            return Token(int(node), cur, hops, stamp)
         if hops > HOP_CAP:
             raise NonAbsorbingError(f"token from node {node} exceeded {HOP_CAP} hops")
 
@@ -242,12 +241,13 @@ def run_partial(
         t0 = time.perf_counter() if collect_timings else 0.0
         snapshot = dict(grad_vec)
         steps = schedule.a(clocks.counts)
+        w_der = partition.w_derivs(u)
         for node in learners:
             token = relay_token(graph, partition, observed_lookup, node, rng, stamp=k)
             hop_totals += token.hops
             a = partition.alpha[node]
             pos = ctrl_index.get(node)
-            own = a * partition.w[node].deriv(float(u[pos])) if pos is not None else 0.0
+            own = a * w_der[pos] if pos is not None else 0.0
             target = own + (1.0 - a) * snapshot[token.terminal]
             grad_vec[node] = snapshot[node] + steps[node] * (target - snapshot[node])
         clocks.bump(learners)

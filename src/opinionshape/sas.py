@@ -56,13 +56,13 @@ def sas_fast_update(
     if poller in partition.stubborn:
         return grad_table
     new = grad_table.copy()
+    pos = int(partition.node_codes()[poller])
+    diag = partition.alpha[poller] * partition.w[poller].deriv(float(u[pos])) if pos >= 0 else 0.0
     step = schedule.a(clocks.value(poller))
-    target = (1.0 - partition.alpha[poller]) * grad_table[polled]
-    pos = partition.control_index().get(poller)
-    if pos is not None:
-        target = target.copy()
-        target[pos] += partition.alpha[poller] * partition.w[poller].deriv(float(u[pos]))
-    new[poller] = grad_table[poller] + step * (target - grad_table[poller])
+    _tick_fast_updates(
+        new, np.array([poller]), np.array([polled]), partition.alpha,
+        np.array([diag]), np.array([pos]), np.array([step]),
+    )
     clocks.bump([poller])
     return new
 
@@ -86,16 +86,24 @@ def _tick_fast_updates(
     diag_driver: np.ndarray,
     ctrl_pos: np.ndarray,
     steps: np.ndarray,
-) -> None:
+) -> np.ndarray:
     """Vectorized fast updates for one tick, reading pre-tick table values.
 
     diag_driver[p] = alpha_i * w_i'(u_i) for the poller owning control p;
-    ctrl_pos maps poller order to the control column (or -1).
+    ctrl_pos maps poller order to the control column (or -1).  Row i moves
+    to G_i + a_i * ((1 - alpha_i) G_polled + driver - G_i), computed in
+    place on one gathered block, which is written back and returned.
     """
-    target = (1.0 - alpha[pollers])[:, None] * grad_table[polled]
+    rows = grad_table[pollers]
+    block = grad_table[polled]
+    block *= (1.0 - alpha[pollers])[:, None]
     owns = ctrl_pos >= 0
-    target[owns, ctrl_pos[owns]] += diag_driver[owns]
-    grad_table[pollers] += steps[:, None] * (target - grad_table[pollers])
+    block[owns, ctrl_pos[owns]] += diag_driver[owns]
+    block -= rows
+    block *= steps[:, None]
+    block += rows
+    grad_table[pollers] = block
+    return block
 
 
 def run_sas(
@@ -146,16 +154,15 @@ def run_sas(
             active = rng.random(n) < activation.q
             pollers = np.flatnonzero(active & free)
         polled = sample_poll_targets(cdf, pollers, rng)
-        if len(pollers):
-            diag = np.zeros(len(pollers))
-            cp = codes[pollers]
-            owns = cp >= 0
-            if owns.any() and n_ctrl:
-                w_der = partition.w_derivs(u)
-                diag[owns] = alpha[pollers[owns]] * w_der[cp[owns]]
-            steps = schedule.a(clocks.counts[pollers])
-            _tick_fast_updates(grad_table, pollers, polled, alpha, diag, cp, steps)
-            clocks.bump(pollers)
+        diag = np.zeros(len(pollers))
+        cp = codes[pollers]
+        owns = cp >= 0
+        if owns.any():
+            w_der = partition.w_derivs(u)
+            diag[owns] = alpha[pollers[owns]] * w_der[cp[owns]]
+        steps = schedule.a(clocks.counts[pollers])
+        updated = _tick_fast_updates(grad_table, pollers, polled, alpha, diag, cp, steps)
+        clocks.bump(pollers)
         if not freeze_u and n_ctrl:
             u = project_budget_simplex(u + schedule.b(k) * grad_table.sum(axis=0), budget)
         if collect_timings:
@@ -163,7 +170,8 @@ def run_sas(
         ks.append(k + 1)
         us.append(u.copy())
         pays.append(payoff(u))
-        if not np.max(np.abs(grad_table), initial=0.0) <= bound:
+        # rows left alone this tick passed on an earlier one
+        if not np.max(np.abs(updated), initial=0.0) <= bound:
             raise DivergenceError(f"sensitivity table left its sanity bound {bound:.3g} at tick {k + 1}")
 
     traj = Trajectory(

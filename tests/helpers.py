@@ -293,6 +293,38 @@ def reference_relay_token(
             raise NonAbsorbingError(f"token from node {node} exceeded {HOP_CAP} hops")
 
 
+def reference_w_values(partition: AgentPartition, u: np.ndarray) -> np.ndarray:
+    """The scalar ``AgentPartition.w_values``: one ``value`` call per control."""
+    return np.array([partition.w[n].value(float(u[p])) for p, n in enumerate(partition.controlled)])
+
+
+def reference_w_derivs(partition: AgentPartition, u: np.ndarray) -> np.ndarray:
+    """The scalar ``AgentPartition.w_derivs``: one ``deriv`` call per control."""
+    return np.array([partition.w[n].deriv(float(u[p])) for p, n in enumerate(partition.controlled)])
+
+
+def reference_tick_fast_updates(
+    grad_table: np.ndarray,
+    pollers: np.ndarray,
+    polled: np.ndarray,
+    alpha: np.ndarray,
+    diag_driver: np.ndarray,
+    ctrl_pos: np.ndarray,
+    steps: np.ndarray,
+) -> None:
+    """``sas._tick_fast_updates`` with its temporaries, the oracle for the
+    in-place kernel: vectorized fast updates for one tick, reading pre-tick
+    table values.
+
+    diag_driver[p] = alpha_i * w_i'(u_i) for the poller owning control p;
+    ctrl_pos maps poller order to the control column (or -1).
+    """
+    target = (1.0 - alpha[pollers])[:, None] * grad_table[polled]
+    owns = ctrl_pos >= 0
+    target[owns, ctrl_pos[owns]] += diag_driver[owns]
+    grad_table[pollers] += steps[:, None] * (target - grad_table[pollers])
+
+
 def brute_force_projection(vs: np.ndarray, budget: float) -> np.ndarray:
     """Projection oracle by exhaustive active-set enumeration.
 

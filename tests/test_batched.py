@@ -1,0 +1,263 @@
+"""Batched reward curves and the in-place sas tick against their previous
+scalar and temporary-allocating implementations, kept in ``helpers.py``."""
+
+from __future__ import annotations
+
+import pickle
+from dataclasses import dataclass, replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opinionshape import sas
+from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
+from opinionshape.errors import DivergenceError
+from opinionshape.network import ActivationModel, AgentPartition
+from opinionshape.optim import LocalClocks
+from opinionshape.sas import _tick_fast_updates, run_sas, sas_fast_update
+
+from helpers import graph_from_P, reference_tick_fast_updates, reference_w_derivs, reference_w_values
+
+
+@dataclass(frozen=True)
+class PeakedCurve:
+    """x - x^2 / 2, with the scalar methods only."""
+
+    def value(self, x: float) -> float:
+        return x - 0.5 * x * x
+
+    def deriv(self, x: float) -> float:
+        return 1.0 - x
+
+
+@dataclass(frozen=True)
+class RampCurve:
+    """A convex curve: w' grows with u, so the sas table outgrows its bound."""
+
+    def value(self, x: float) -> float:
+        return min(1.0, 0.1 * x + 0.5 * x * x)
+
+    def deriv(self, x: float) -> float:
+        return 0.1 + x
+
+
+CURVES = st.one_of(
+    st.floats(1e-3, 10.0).map(SaturatingCurve),
+    st.floats(0.0, 2.0).map(LinearCurve),
+    st.floats(0.0, 1.0).map(ConstantCurve),
+    st.just(PeakedCurve()),
+)
+CONTROLS = st.one_of(
+    st.sampled_from([0.0, 1e160, 1e308, 1e-300, 5.0]),
+    st.floats(0.0, 1e3),
+    st.floats(0.0, 1e308),
+)
+
+
+def partition_with(curves: list) -> AgentPartition:
+    """Controls 0..len(curves)-1 with the given curves, plus one uncontrolled node."""
+    n_ctrl = len(curves)
+    alpha = np.zeros(n_ctrl + 1)
+    alpha[:n_ctrl] = 0.5
+    return AgentPartition(
+        controlled=tuple(range(n_ctrl)),
+        uncontrolled=(n_ctrl,),
+        stubborn=(),
+        alpha=alpha,
+        h={},
+        w=dict(enumerate(curves)),
+    )
+
+
+def assert_matches_scalar(partition: AgentPartition, u: np.ndarray) -> None:
+    assert partition.w_values(u).tobytes() == reference_w_values(partition, u).tobytes()
+    assert partition.w_derivs(u).tobytes() == reference_w_derivs(partition, u).tobytes()
+
+
+class TestCurveGroups:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_shared_and_distinct_curves(self, data):
+        # a few curve objects, each control picks one: groups share objects
+        pool = data.draw(st.lists(CURVES, min_size=1, max_size=4))
+        n_ctrl = data.draw(st.integers(0, 12))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_ctrl, max_size=n_ctrl))
+        partition = partition_with([pool[k] for k in picks])
+        u = np.array(data.draw(st.lists(CONTROLS, min_size=n_ctrl, max_size=n_ctrl)), dtype=float)
+        assert_matches_scalar(partition, u)
+        assert len(partition.curve_groups()) == len({id(pool[k]) for k in picks})
+
+    @pytest.mark.parametrize("curve", [SaturatingCurve(0.1), LinearCurve(0.3), ConstantCurve(0.4), PeakedCurve()])
+    def test_one_curve_for_every_control(self, curve):
+        partition = partition_with([curve] * 6)
+        (group,) = partition.curve_groups()
+        assert group[0] is curve and group[1].tolist() == list(range(6))
+        assert_matches_scalar(partition, np.array([0.0, 1e-300, 0.7, 5.0, 1e160, 1e308]))
+
+    def test_empty_control_set(self):
+        partition = partition_with([])
+        assert partition.curve_groups() == ()
+        assert_matches_scalar(partition, np.zeros(0))
+        assert partition.w_values(np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 1e-3])
+    def test_many_uniform_controls(self, scale):
+        # a squared x + s rounds differently from libm pow on under 0.1% of
+        # inputs, so the check needs many of them
+        u = np.random.default_rng(0).uniform(0.0, 5.0, 100_000)
+        shared, other = SaturatingCurve(scale), SaturatingCurve(scale)
+        partition = partition_with([shared] * 50_000 + [other] * 50_000)
+        assert_matches_scalar(partition, u)
+        assert_matches_scalar(partition_with([shared] * 100_000), u)
+
+    def test_saturating_derivative_overflow_falls_back(self):
+        curve = SaturatingCurve(0.1)
+        xs = np.array([0.0, 1.0, 1e160, 1e308])
+        assert curve.derivs(xs).tobytes() == np.array([curve.deriv(x) for x in xs.tolist()]).tobytes()
+        assert curve.derivs(xs)[2:].tolist() == [0.0, 0.0]
+
+    def test_groups_cached_and_read_only(self):
+        a, b = SaturatingCurve(0.1), SaturatingCurve(0.1)
+        partition = partition_with([a, b, a, b, b])
+        groups = partition.curve_groups()
+        assert partition.curve_groups() is groups
+        # grouped by object, not by equality
+        assert [g[1].tolist() for g in groups] == [[0, 2], [1, 3, 4]]
+        assert all(not g[1].flags.writeable for g in groups)
+
+    def test_replaced_partition_gets_fresh_groups(self, karate_partition):
+        u = np.array([0.5, 1.5, 3.0])
+        karate_partition.w_values(u)
+        assert karate_partition.curve_groups()[0][0] == SaturatingCurve()
+        curves = [LinearCurve(0.2), PeakedCurve(), SaturatingCurve(0.3)]
+        moved = replace(karate_partition, w=dict(zip(karate_partition.controlled, curves)))
+        assert [g[0] for g in moved.curve_groups()] == curves
+        assert_matches_scalar(moved, u)
+        assert_matches_scalar(karate_partition, u)
+
+    def test_pickled_partition_gives_same_results(self):
+        shared = SaturatingCurve(0.2)
+        partition = partition_with([shared, LinearCurve(0.5), shared, PeakedCurve()])
+        u = np.array([0.1, 0.2, 3.0, 0.4])
+        partition.w_derivs(u)
+        copy = pickle.loads(pickle.dumps(partition))
+        assert copy.w_values(u).tobytes() == partition.w_values(u).tobytes()
+        assert copy.w_derivs(u).tobytes() == partition.w_derivs(u).tobytes()
+        assert all(not g[1].flags.writeable for g in copy.curve_groups())
+        # the shared object stays one group after the round trip
+        assert copy.curve_groups()[0][0] is copy.w[0] is copy.w[2]
+
+
+@st.composite
+def tick_cases(draw):
+    n = draw(st.integers(1, 10))
+    n_ctrl = draw(st.integers(0, 4))
+    entries = st.floats(-1e6, 1e6, allow_nan=False)
+    table = np.array(draw(st.lists(entries, min_size=n * n_ctrl, max_size=n * n_ctrl))).reshape(n, n_ctrl)
+    if draw(st.booleans()):
+        pollers = np.arange(n)  # synchronous: every row polls
+    else:
+        pollers = np.array(sorted(draw(st.sets(st.integers(0, n - 1)))), dtype=int)
+    m = len(pollers)
+    # polled rows repeat freely; a poller may poll itself
+    polled = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=int)
+    alpha = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    # each control is owned by at most one poller; the others own none
+    owners = draw(st.permutations(list(range(m)) + [-1] * n_ctrl))[:n_ctrl] if m else []
+    ctrl_pos = np.full(m, -1)
+    for col, owner in enumerate(owners):
+        if owner >= 0:
+            ctrl_pos[owner] = col
+    diag = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m)))
+    steps = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    return table, pollers, polled, alpha, diag, ctrl_pos, steps
+
+
+class TestTickKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(case=tick_cases())
+    def test_matches_previous_kernel(self, case):
+        table, *args = case
+        want = table.copy()
+        reference_tick_fast_updates(want, *args)
+        got = table.copy()
+        block = _tick_fast_updates(got, *args)
+        assert got.tobytes() == want.tobytes()
+        assert block.tobytes() == want[args[0]].tobytes()
+
+    def test_one_event_is_the_one_row_kernel(self, karate_graph, karate_partition, schedule):
+        rng = np.random.default_rng(3)
+        table = rng.uniform(-1.0, 1.0, size=(34, 3))
+        u = np.array([0.5, 1.0, 2.0])
+        derivs = karate_partition.w_derivs(u)
+        for poller in range(34):
+            if poller in karate_partition.stubborn:
+                continue
+            polled = int(rng.integers(34))
+            clocks = LocalClocks.zeros(34)
+            clocks.bump([poller])
+            got = sas_fast_update(table, (poller, polled), karate_graph, karate_partition, u, clocks, schedule)
+            pos = int(karate_partition.node_codes()[poller])
+            want = table.copy()
+            diag = np.array([karate_partition.alpha[poller] * derivs[pos] if pos >= 0 else 0.0])
+            reference_tick_fast_updates(
+                want, np.array([poller]), np.array([polled]), karate_partition.alpha,
+                diag, np.array([pos]), np.array([schedule.a(1)]),
+            )
+            assert got.tobytes() == want.tobytes()
+            assert clocks.value(poller) == 2
+
+
+def ring_with_last_controlled(n: int = 6):
+    """Ring i -> i+1 with node 0 stubborn and node n-1, the last row any tick
+    updates, the only controlled agent: the table outgrows its bound there."""
+    P = np.roll(np.eye(n), 1, axis=1)
+    alpha = np.zeros(n)
+    alpha[-1] = 0.6
+    partition = AgentPartition(
+        controlled=(n - 1,),
+        uncontrolled=tuple(range(1, n - 1)),
+        stubborn=(0,),
+        alpha=alpha,
+        h={0: 0.5},
+        w={n - 1: RampCurve()},
+    )
+    return graph_from_P(P), partition
+
+
+class TestDivergenceTick:
+    @pytest.mark.parametrize("instance", ["karate", "ring"])
+    @pytest.mark.parametrize("mode", ["synchronous", "asynchronous"])
+    def test_raises_on_the_tick_the_whole_table_leaves_its_bound(
+        self, monkeypatch, karate_graph, karate_partition, schedule, budget, mode, instance
+    ):
+        if instance == "karate":
+            graph = karate_graph
+            partition = replace(karate_partition, w={i: RampCurve() for i in karate_partition.controlled})
+        else:
+            graph, partition = ring_with_last_controlled()
+        n = graph.node_count
+        activation = ActivationModel(mode, q=np.full(n, 0.3) if mode == "asynchronous" else None)
+        bound = sas._table_bound(partition)
+
+        # the previous check: the whole table's largest entry after each tick
+        peaks = []
+        kernel = sas._tick_fast_updates
+
+        def recording(grad_table, *args):
+            block = kernel(grad_table, *args)
+            peaks.append(np.max(np.abs(grad_table)))
+            return block
+
+        monkeypatch.setattr(sas, "_tick_fast_updates", recording)
+        monkeypatch.setattr(sas, "_table_bound", lambda p: np.inf)
+        run_sas(graph, partition, budget, schedule, activation, 60, 3)
+        over = [k + 1 for k, peak in enumerate(peaks) if not peak <= bound]
+        assert over, "the ramp curve must drive the table past its bound"
+        monkeypatch.undo()
+
+        with pytest.raises(DivergenceError, match=f"at tick {over[0]}$"):
+            run_sas(graph, partition, budget, schedule, activation, 60, 3)
+        run_sas(graph, partition, budget, schedule, activation, over[0] - 1, 3)

@@ -183,6 +183,11 @@ class TestTiming:
             assert 0.0 <= stats["min"] <= stats["median"] <= stats["max"]
         assert isinstance(report["notes"], list)
 
+    def test_gd_steps_are_timed(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, out_dir=tmp_path / "gd"))
+        stats = timing_report(cfg, ["gd"], n_iters=20)["gd"]
+        assert 0.0 < stats["min"] <= stats["median"] <= stats["max"]
+
     def test_single_scheme_report(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, out_dir=tmp_path / "t1"))
         report = timing_report(cfg, ["sas"], n_iters=10)
