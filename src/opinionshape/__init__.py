@@ -15,6 +15,7 @@ from .errors import (
     EdgeListParseError,
     InfeasibleError,
     NonAbsorbingError,
+    NonFiniteRowError,
     OpinionShapeError,
 )
 from .network import (

@@ -21,6 +21,15 @@ class DanglingNodeError(OpinionShapeError):
         self.node = node
 
 
+class NonFiniteRowError(OpinionShapeError):
+    """Raised when a node's outgoing weights sum past the float range (or to NaN),
+    so its poll row cannot be normalized."""
+
+    def __init__(self, node):
+        super().__init__(f"node {node} has outgoing weight that does not sum to a finite value")
+        self.node = node
+
+
 class InfeasibleError(OpinionShapeError):
     """Raised when the stationary linear system is singular or ill-posed."""
 

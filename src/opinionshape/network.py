@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import Curve, SaturatingCurve
-from .errors import DanglingNodeError, EdgeListParseError, InfeasibleError
+from .errors import DanglingNodeError, EdgeListParseError, InfeasibleError, NonFiniteRowError
 
 # node codes off the controlled set, whose codes are control positions
 UNCONTROLLED = -1
@@ -52,7 +52,8 @@ class InteractionGraph:
         if self.P.shape != (self.node_count, self.node_count):
             raise ValueError("poll matrix shape does not match node count")
         rows = self.P.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-9):
+        # written so that a NaN row fails too
+        if not np.all(np.abs(rows - 1.0) <= 1e-9):
             raise ValueError("poll matrix rows must sum to 1")
 
     def poll_cdf(self) -> PollTable:
@@ -121,7 +122,7 @@ class PollTable:
 
     @classmethod
     def from_matrix(cls, P: np.ndarray) -> "PollTable":
-        rows, cols = np.divmod(np.flatnonzero(P), P.shape[1])
+        rows, cols = np.divmod(np.flatnonzero(P != 0.0), P.shape[1])
         counts = np.bincount(rows, minlength=P.shape[0])
         ends = np.cumsum(counts)
         slot = np.arange(len(rows)) - (ends - counts)[rows]
@@ -305,14 +306,19 @@ def row_normalize(adjacency: np.ndarray) -> np.ndarray:
 
     Raises DanglingNodeError on a zero-sum row instead of inventing a
     self-loop: the model needs a genuinely row-stochastic poll matrix.
+    Raises NonFiniteRowError on a row whose sum overflows (or is NaN).
     """
     adjacency = np.asarray(adjacency, dtype=float)
     if np.any(adjacency < 0.0):
         raise ValueError("adjacency weights must be nonnegative")
-    sums = adjacency.sum(axis=1)
+    with np.errstate(over="ignore"):
+        sums = adjacency.sum(axis=1)
     dangling = np.flatnonzero(sums <= 0.0)
     if dangling.size:
         raise DanglingNodeError(int(dangling[0]))
+    unbounded = np.flatnonzero(~np.isfinite(sums))
+    if unbounded.size:
+        raise NonFiniteRowError(int(unbounded[0]))
     return adjacency / sums[:, None]
 
 

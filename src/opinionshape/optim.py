@@ -87,6 +87,11 @@ def relative_gap(payoff: np.ndarray, payoff_star: float) -> np.ndarray:
     return (payoff_star - np.asarray(payoff)) / payoff_star
 
 
+# support sizes 1, 2, ... of the water-filling candidates
+_SIZES = np.arange(1.0, 1025.0)
+_SIZES.setflags(write=False)
+
+
 def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum(x) <= budget}.
 
@@ -94,6 +99,9 @@ def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
     projection, otherwise the budget binds and sorting-based water-filling
     on the face {x >= 0, sum(x) = budget} finishes the job.  A NaN or +inf
     entry raises DivergenceError (-inf clips to 0 and is projected).
+
+    The largest entry always holds: a budget below half an ulp of it
+    rounds away in the cumulative sum, and the result is then all zeros.
     """
     if budget <= 0.0:
         raise ValueError("budget must be positive")
@@ -104,11 +112,14 @@ def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
         raise DivergenceError(f"cannot project a non-finite control vector: {v}")
     if total <= budget:
         return clipped
+    n = len(v)
     dropping = np.sort(v)[::-1]
-    csum = np.cumsum(dropping) - budget
-    j = np.arange(1, len(v) + 1)
-    holds = dropping - csum / j > 0.0
-    rho = int(np.max(np.flatnonzero(holds))) + 1
+    csum = dropping.cumsum()
+    csum -= budget
+    sizes = _SIZES[:n] if n <= len(_SIZES) else np.arange(1.0, n + 1.0)
+    holds = dropping - csum / sizes > 0.0
+    holds[0] = True
+    rho = n - int(holds[::-1].argmax())
     theta = csum[rho - 1] / rho
     return np.maximum(v - theta, 0.0)
 

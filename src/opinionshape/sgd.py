@@ -14,6 +14,7 @@ Column-summing over one walk per start node gives the gradient estimate
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .network import STUBBORN, AgentPartition, InteractionGraph
 from .optim import Trajectory, project_budget_simplex, relative_gap
 
 WALK_STEP_CAP = 10_000_000
+# walks left live when the lockstep moves from numpy arrays to Python lists:
+# below about this many a numpy step costs more than the hops it batches
+NARROW_FRONT = 32
 
 
 def _walk_batch(
@@ -38,7 +42,10 @@ def _walk_batch(
     walks (scheme 1), then the poll uniforms of the movers, each in walk-id
     order.  The loop carries only the live walks' ids, positions and
     weights, and drops a walk as soon as it is absorbed, killed or left
-    with zero weight, none of which uses a uniform.
+    with zero weight, none of which uses a uniform.  While more than
+    ``NARROW_FRONT`` walks are live a step is a few numpy calls over the
+    live arrays; the narrow rest runs the same steps in Python over the
+    poll table's row lists, with ``rng.random`` calls of the same sizes.
     """
     if scheme not in (1, 2):
         raise ValueError(f"unknown sampling scheme {scheme}")
@@ -64,7 +71,7 @@ def _walk_batch(
         contrib[owns, codes[cur[owns]]] = alpha[cur[owns]]
 
     steps = 0
-    while len(ids):
+    while len(ids) > NARROW_FRONT:
         steps += 1
         if steps > WALK_STEP_CAP:
             raise NonAbsorbingError(
@@ -92,6 +99,50 @@ def _walk_batch(
             owns = code >= 0
             if np.count_nonzero(owns):
                 contrib[ids[owns], code[owns]] += weight[owns] * alpha[cur[owns]]
+    if not len(ids):
+        return contrib
+
+    # the narrow front: (id, node) per live walk, plus its weight in scheme
+    # 2; the same products and comparisons on Python floats
+    ptr, cum, cols = table.row_lists()
+    alpha, survive, codes = alpha.tolist(), survive.tolist(), codes.tolist()
+    if scheme == 1:
+        walks = list(zip(ids.tolist(), cur.tolist()))
+    else:
+        walks = list(zip(ids.tolist(), cur.tolist(), weight.tolist()))
+    while walks:
+        steps += 1
+        if steps > WALK_STEP_CAP:
+            raise NonAbsorbingError(
+                f"walk from node {int(starts[walks[0][0]])} exceeded {WALK_STEP_CAP} steps"
+            )
+        if scheme == 1:
+            movers = []
+            for walk, coin in zip(walks, rng.random(len(walks)).tolist()):
+                i, node = walk
+                if coin < alpha[node]:
+                    contrib[i, codes[node]] = 1.0
+                else:
+                    movers.append(walk)
+            if not movers:
+                break
+            moved = []
+            for (i, node), r in zip(movers, rng.random(len(movers)).tolist()):
+                nxt = cols[bisect_right(cum, r, ptr[node], ptr[node + 1])]
+                if codes[nxt] != STUBBORN:
+                    moved.append((i, nxt))
+        else:
+            moved = []
+            for (i, node, w), r in zip(walks, rng.random(len(walks)).tolist()):
+                nxt = cols[bisect_right(cum, r, ptr[node], ptr[node + 1])]
+                code = codes[nxt]
+                w *= survive[node]
+                if code == STUBBORN or w == 0.0:
+                    continue
+                if code >= 0:
+                    contrib[i, code] += w * alpha[nxt]
+                moved.append((i, nxt, w))
+        walks = moved
 
     return contrib
 

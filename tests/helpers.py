@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
 
 from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
 from opinionshape.dynamics import payoff_coefficients, payoff_fn
-from opinionshape.errors import NonAbsorbingError
+from opinionshape.errors import DivergenceError, NonAbsorbingError
 from opinionshape.network import AgentPartition, InteractionGraph, random_partition
 from opinionshape.partial_obs import HOP_CAP, Token
 from opinionshape.sgd import WALK_STEP_CAP
@@ -323,6 +324,27 @@ def reference_tick_fast_updates(
     owns = ctrl_pos >= 0
     target[owns, ctrl_pos[owns]] += diag_driver[owns]
     grad_table[pollers] += steps[:, None] * (target - grad_table[pollers])
+
+
+def reference_project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
+    """``optim.project_budget_simplex`` before the tiny-budget fix, the
+    oracle for its bits: it raises where no sorted entry holds."""
+    if budget <= 0.0:
+        raise ValueError("budget must be positive")
+    v = np.asarray(v, dtype=float)
+    clipped = np.maximum(v, 0.0)
+    total = float(clipped.sum())
+    if not math.isfinite(total):
+        raise DivergenceError(f"cannot project a non-finite control vector: {v}")
+    if total <= budget:
+        return clipped
+    dropping = np.sort(v)[::-1]
+    csum = np.cumsum(dropping) - budget
+    j = np.arange(1, len(v) + 1)
+    holds = dropping - csum / j > 0.0
+    rho = int(np.max(np.flatnonzero(holds))) + 1
+    theta = csum[rho - 1] / rho
+    return np.maximum(v - theta, 0.0)
 
 
 def brute_force_projection(vs: np.ndarray, budget: float) -> np.ndarray:

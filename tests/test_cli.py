@@ -125,3 +125,20 @@ def test_huge_budget_keeps_exit_contract(tmp_path, scheme):
     # (budget + scale) ** 2 leaves the float range above about 1.34e154
     cfg = write_config(tmp_path, budget=1e160, scheme=scheme, n_iters=20, n_runs=1, out_dir=tmp_path / "big")
     assert main(["run", "--config", str(cfg)]) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("scheme", ["gd", "sas", "sgd1", "sgd2", "partial"])
+def test_tiny_budget_runs(tmp_path, scheme):
+    # 1e-20 is below half an ulp of the entries the first projected step sees
+    cfg = write_config(tmp_path, budget=1e-20, scheme=scheme, n_iters=20, n_runs=1, out_dir=tmp_path / "tiny")
+    assert main(["run", "--config", str(cfg)]) == 0
+
+
+def test_overflowing_edge_weights_are_exit_2(tmp_path, capsys):
+    edges = tmp_path / "huge.edges"
+    edges.write_text("0 1 1e308\n0 2 1e308\n1 2 1.0\n")
+    cfg = write_config(
+        tmp_path, network=edges, weighted="true", s_size=1, s1_size=1, s0_size=1, out_dir=tmp_path / "huge"
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "node 0" in capsys.readouterr().err

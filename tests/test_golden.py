@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 
 from opinionshape.dynamics import empirical_opinion_stats, gossip_step, initial_state
-from opinionshape.harness import parse_config, run_experiment
+from opinionshape.harness import build_instance, parse_config, run_experiment
 from opinionshape.network import ActivationModel
+from opinionshape.sgd import run_sgd, sample_killed_walk, sample_weighted_walk
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "karate_sas.cfg"
 SCHEMES = ("gd", "sas", "sgd1", "sgd2", "partial")
@@ -46,7 +47,7 @@ def csv_digests(out_dir: Path) -> dict[str, str]:
     }
 
 
-def run_short(tmp_path: Path, instance: str, scheme: str, **overrides) -> dict[str, str]:
+def short_config(tmp_path: Path, instance: str, scheme: str, **overrides):
     out = tmp_path / f"{instance}_{scheme}"
     config = parse_config(CONFIG, {"scheme": scheme, "n_iters": 50, "n_runs": 2, "out_dir": str(out)})
     if instance == "ring":
@@ -56,8 +57,13 @@ def run_short(tmp_path: Path, instance: str, scheme: str, **overrides) -> dict[s
             config, network=str(edges), weighted=True,
             s_size=4, s1_size=30, s0_size=6, budget=3.0, seed=5,
         )
-    run_experiment(replace(config, **overrides))
-    return csv_digests(out)
+    return replace(config, **overrides)
+
+
+def run_short(tmp_path: Path, instance: str, scheme: str, **overrides) -> dict[str, str]:
+    config = short_config(tmp_path, instance, scheme, **overrides)
+    run_experiment(config)
+    return csv_digests(Path(config.out_dir))
 
 
 def simulator_digests(graph, partition) -> dict[str, str]:
@@ -195,3 +201,49 @@ GOLDEN_EDGES = {
 def test_sampler_edge_cases_match_golden_digests(tmp_path, instance, scheme, key, value):
     digests = run_short(tmp_path, instance, scheme, **{key: value})
     assert digests == GOLDEN_EDGES[instance, scheme, key, value]
+
+
+def digest(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+# one walk at a time: uniform-single-start sgd runs draw a single start per
+# iteration, and the one-row samplers walk from one start per call
+GOLDEN_SINGLE_START = {
+    'karate': {
+        'sgd1': 'f6ff8258052efb2b2e22300714cc0f2d4d0e519b63544307406005d66981feed',
+        'sgd2': '8a8e210219547fad5e6da1e575562cd87a01205ba165425b259ef974bf1f91e7',
+    },
+    'ring': {
+        'sgd1': 'ca9b0ac94d56f9ceedb0afaef84b6eb86686c94748d0aba7a0cd3e5eb126de72',
+        'sgd2': 'eba015c8fe3405ced8ad80e8d03ee86a55a8e76a2744f13ea62fada92fea139c',
+    },
+}
+GOLDEN_ONE_WALK = {
+    'killed': '8a3cd186fd6b74239a525d9eaee1c2ff9df4f91a412769738170bf639611aec5',
+    'weighted': 'c235ae53be0ad1ddcf2d6f17363f50e980b6a030df9aa20825bfdc8d22804ba8',
+}
+
+
+@pytest.mark.parametrize("instance", sorted(GOLDEN_SINGLE_START))
+def test_uniform_single_start_runs_match_golden_digests(tmp_path, instance):
+    config = short_config(tmp_path, instance, "sgd1")
+    built = build_instance(config)
+    got = {}
+    for scheme in (1, 2):
+        traj = run_sgd(
+            built.graph, built.partition, config.budget, scheme, 200, config.seed,
+            payoff_star=built.payoff_star, uniform_single_start=True,
+        )
+        got[f"sgd{scheme}"] = digest(traj.u, traj.payoff, traj.rel_gap)
+    assert got == GOLDEN_SINGLE_START[instance]
+
+
+def test_one_row_walks_match_golden_digests(karate_graph, karate_partition):
+    free = [i for i in range(karate_graph.node_count) if i not in karate_partition.stubborn]
+    got = {}
+    for name, sample in (("killed", sample_killed_walk), ("weighted", sample_weighted_walk)):
+        rng = np.random.default_rng(11)
+        rows = [sample(karate_graph, karate_partition, start, rng) for start in free for _ in range(20)]
+        got[name] = digest(rows, rng.random())
+    assert got == GOLDEN_ONE_WALK

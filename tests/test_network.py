@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opinionshape.curves import SaturatingCurve
-from opinionshape.errors import DanglingNodeError, EdgeListParseError, InfeasibleError
+from opinionshape.errors import DanglingNodeError, EdgeListParseError, InfeasibleError, NonFiniteRowError
 from opinionshape.network import (
     AgentPartition,
+    InteractionGraph,
     check_feasible,
     load_edge_list,
     random_partition,
@@ -41,6 +42,13 @@ class TestRowNormalize:
         with pytest.raises(DanglingNodeError) as err:
             row_normalize(np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert err.value.node == 0
+
+    @pytest.mark.parametrize("first", [[0.0, 1e308, 1e308], [0.0, np.nan, 1.0]])
+    def test_non_finite_row_sum_names_the_node(self, first):
+        adjacency = np.array([[1.0, 0.0, 1.0], first, [1.0, 1.0, 0.0]])
+        with pytest.raises(NonFiniteRowError, match="node 1") as err:
+            row_normalize(adjacency)
+        assert err.value.node == 1
 
     def test_zero_entries_preserved(self):
         rng = np.random.default_rng(3)
@@ -78,6 +86,16 @@ class TestLoadEdgeList:
     def test_directed_dangling_node(self, tmp_path):
         with pytest.raises(DanglingNodeError):
             load_edge_list(write(tmp_path, "0 1\n"), directed=True)
+
+    def test_overflowing_weights_name_the_node(self, tmp_path):
+        # the two 1e308 arcs leave node 0 with an infinite weight sum
+        with pytest.raises(NonFiniteRowError, match="node 0"):
+            load_edge_list(write(tmp_path, "0 1 1e308\n0 2 1e308\n1 2 1.0\n"))
+
+    def test_nan_poll_row_rejected(self):
+        P = np.array([[np.nan, np.nan], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="sum to 1"):
+            InteractionGraph(node_count=2, edges=(), P=P)
 
     def test_one_based_ids_normalized(self, tmp_path):
         g = load_edge_list(write(tmp_path, "1 2\n2 3\n3 1\n"))

@@ -26,6 +26,7 @@ from helpers import (
     chain_instance,
     random_instance,
     reference_exact_optimum,
+    reference_project_budget_simplex,
     ring_chords_instance,
     single_agent_instance,
 )
@@ -110,6 +111,41 @@ class TestProjection:
         assert np.all(out >= 0.0)
         assert out.sum() <= budget + 1e-12 * scale
         assert np.allclose(project_budget_simplex(out, budget), out, rtol=0.0, atol=1e-12 * scale)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        v=arrays(
+            float, st.integers(1, 40),
+            elements=st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0, 1.0, 5e-324])),
+        ),
+        budget=st.one_of(st.floats(1e-30, 1e4), st.sampled_from([5e-324, 1e-20, 1.0, 5.0])),
+    )
+    def test_bits_match_reference_where_it_does_not_raise(self, v, budget):
+        try:
+            want = reference_project_budget_simplex(v, budget)
+        except DivergenceError:
+            with pytest.raises(DivergenceError):
+                project_budget_simplex(v, budget)
+            return
+        except ValueError:
+            # no sorted entry held: the budget rounded away next to the largest
+            out = project_budget_simplex(v, budget)
+            assert np.all(out >= 0.0) and out.sum() <= budget
+            return
+        assert project_budget_simplex(v, budget).tobytes() == want.tobytes()
+
+    def test_bits_match_reference_beyond_the_cached_sizes(self):
+        v = np.random.default_rng(3).normal(0.0, 1.0, 1500)
+        want = reference_project_budget_simplex(v, 5.0)
+        assert project_budget_simplex(v, 5.0).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("v", [[1.0, 0.5], [1.0], [3.0, 3.0, -1.0]])
+    def test_budget_below_half_an_ulp_gives_zero(self, v):
+        v = np.array(v)
+        with pytest.raises(ValueError):
+            reference_project_budget_simplex(v, 1e-20)
+        out = project_budget_simplex(v, 1e-20)
+        assert np.all(out == 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_is_divergence(self, bad):

@@ -23,7 +23,9 @@ from opinionshape.network import (
 )
 from opinionshape.optim import run_exact_gd
 from opinionshape.partial_obs import relay_token
-from opinionshape.sgd import _walk_batch
+import opinionshape.sgd as sgd_mod
+from opinionshape.errors import NonAbsorbingError
+from opinionshape.sgd import NARROW_FRONT, _walk_batch
 
 from helpers import (
     graph_from_P,
@@ -174,8 +176,14 @@ class TestWalkKernelMatchesReference:
     def test_random_starts(self, instance, scheme, data):
         graph, partition = instance
         free = [i for i in range(graph.node_count) if i not in partition.stubborn]
-        # a multiset: repeated starts and starts on controlled nodes
-        starts = np.array(data.draw(st.lists(st.sampled_from(free), max_size=3 * len(free))), dtype=int)
+        # a multiset: repeated starts and starts on controlled nodes, some
+        # batches just below, at or above the width where the lockstep
+        # moves from arrays to lists
+        width = data.draw(st.one_of(
+            st.integers(0, 3 * len(free)),
+            st.sampled_from([1, NARROW_FRONT - 1, NARROW_FRONT, NARROW_FRONT + 1, 3 * NARROW_FRONT]),
+        ))
+        starts = np.array(data.draw(st.lists(st.sampled_from(free), min_size=width, max_size=width)), dtype=int)
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = _walk_batch(graph, partition, starts, scheme, rng)
@@ -195,6 +203,32 @@ class TestWalkKernelMatchesReference:
             want = reference_walk_batch(karate_graph, partition, starts, scheme, ref_rng)
             assert got.tobytes() == want.tobytes()
         assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("front", [NARROW_FRONT, 0])
+@pytest.mark.parametrize("scheme", [1, 2])
+def test_step_cap_counts_steps_of_both_phases(monkeypatch, scheme, front):
+    # a chain 0 -> 1 -> ... -> 6 -> stubborn sink 7: the walk from 0
+    # takes 7 steps, the first of them on arrays next to NARROW_FRONT
+    # walks from 6, which all end there; front 0 keeps every step on
+    # arrays, as the kernel did before the narrow front
+    length = 7
+    P = np.zeros((length + 1, length + 1))
+    P[np.arange(length), np.arange(1, length + 1)] = 1.0
+    P[length, length] = 1.0
+    partition = AgentPartition(
+        controlled=(), uncontrolled=tuple(range(length)), stubborn=(length,),
+        alpha=np.zeros(length + 1), h={length: 0.5}, w={},
+    )
+    graph = graph_from_P(P)
+    starts = np.array([length - 1] * NARROW_FRONT + [0])
+    monkeypatch.setattr(sgd_mod, "NARROW_FRONT", front)
+    monkeypatch.setattr(sgd_mod, "WALK_STEP_CAP", length)
+    got = _walk_batch(graph, partition, starts, scheme, np.random.default_rng(0))
+    assert got.shape == (len(starts), 0)
+    monkeypatch.setattr(sgd_mod, "WALK_STEP_CAP", length - 1)
+    with pytest.raises(NonAbsorbingError, match=f"walk from node 0 exceeded {length - 1} steps"):
+        _walk_batch(graph, partition, starts, scheme, np.random.default_rng(0))
 
 
 class TestRelayMatchesReference:
