@@ -84,8 +84,6 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"{scheme}: min={stats['min']:.6f}s median={stats['median']:.6f}s max={stats['max']:.6f}s"
             )
-        for note in report["notes"]:
-            print(f"note: {note}")
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -18,7 +18,6 @@ the two-time-scale scheme, bit for bit on a shared event stream.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .curves import ConstantCurve, Curve
 from .dynamics import sample_poll_targets
 from .errors import InfeasibleError
 from .network import STUBBORN, AgentPartition, InteractionGraph
-from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, relative_gap
+from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, run_loop
 from .sas import _tick_fast_updates
 
 NOISE_SEED_TAG = 0x5EED
@@ -177,6 +176,23 @@ def sigma_noise(b_k: float, c_k: int, C: float) -> float:
     return C / math.sqrt((1.0 / b_k) * math.log(math.log(c_k)))
 
 
+def _value_relax(
+    values: np.ndarray,
+    pollers: np.ndarray,
+    polled: np.ndarray,
+    alpha: np.ndarray,
+    reward: np.ndarray,
+    steps: np.ndarray,
+) -> None:
+    """Value relaxations for one tick, in place, reading pre-tick values.
+
+    reward[p] = alpha_i * w_i(u_i) for the poller owning a control, else 0;
+    value i moves toward reward + (1 - alpha_i) * values[polled] by a_i.
+    """
+    target = reward + (1.0 - alpha[pollers]) * values[polled]
+    values[pollers] += steps * (target - values[pollers])
+
+
 def value_update(
     values: np.ndarray,
     node: int,
@@ -187,18 +203,21 @@ def value_update(
     clocks: LocalClocks,
     schedule: StepSchedule,
 ) -> np.ndarray:
-    """Relax one node's value toward its sampled one-step target."""
+    """Relax one node's value toward its sampled one-step target.
+
+    The one-row case of the tick's ``_value_relax``; returns a new array.
+    """
     if node in partition.stubborn:
         return values
     new = values.copy()
-    pos = partition.control_index().get(node)
-    if pos is not None:
-        a = model.alpha_curves[node].value(float(u[pos]))
-        w = model.w_curves[node].value(float(u[pos]))
-    else:
-        a, w = 0.0, 0.0
+    pos = int(partition.node_codes()[node])
+    a, _, w, _ = model.tables(partition, u)
+    reward = a[pos] * w[pos] if pos >= 0 else 0.0
     step = schedule.a(clocks.value(node))
-    new[node] = values[node] + step * (a * w + (1.0 - a) * values[probed] - values[node])
+    _value_relax(
+        new, np.array([node]), np.array([probed]), model.alpha_values(partition, u),
+        np.array([reward]), np.array([step]),
+    )
     clocks.bump([node])
     return new
 
@@ -216,27 +235,22 @@ def general_grad_update(
 ) -> np.ndarray:
     """Sensitivity update carrying the influence-curve derivative terms.
 
-    With a flat influence curve (zero derivative) this is exactly the
-    two-time-scale fast update.
+    The one-row case of ``sas._tick_fast_updates`` with the general model's
+    alpha(u) and diagonal driver a w' + a' w - a' values[probed]; so with a
+    flat influence curve (zero derivative) it is exactly the two-time-scale
+    fast update.
     """
     if node in partition.stubborn:
         return grad_table
     new = grad_table.copy()
-    pos = partition.control_index().get(node)
-    if pos is not None:
-        x = float(u[pos])
-        a = model.alpha_curves[node].value(x)
-        ad = model.alpha_curves[node].deriv(x)
-        w = model.w_curves[node].value(x)
-        wd = model.w_curves[node].deriv(x)
-    else:
-        a, ad, w, wd = 0.0, 0.0, 0.0, 0.0
+    pos = int(partition.node_codes()[node])
+    a, ad, w, wd = model.tables(partition, u)
+    diag = a[pos] * wd[pos] + ad[pos] * w[pos] - ad[pos] * values[probed] if pos >= 0 else 0.0
     step = schedule.a(clocks.value(node))
-    target = (1.0 - a) * grad_table[probed]
-    if pos is not None:
-        target = target.copy()
-        target[pos] += a * wd + ad * w - ad * values[probed]
-    new[node] = grad_table[node] + step * (target - grad_table[node])
+    _tick_fast_updates(
+        new, np.array([node]), np.array([probed]), model.alpha_values(partition, u),
+        np.array([diag]), np.array([pos]), np.array([step]),
+    )
     clocks.bump([node])
     return new
 
@@ -322,7 +336,6 @@ def run_general_rl(
     anneal_denom: int | None = None,
     u0: np.ndarray | None = None,
     payoff_star: float | None = None,
-    collect_timings: bool = False,
 ) -> Trajectory:
     """Sampled-event learner: value and sensitivity tables plus annealed ascent.
 
@@ -344,12 +357,7 @@ def run_general_rl(
     codes = partition.node_codes()
     non_stubborn = np.flatnonzero(codes != STUBBORN)
 
-    ks = [0]
-    us = [u.copy()]
-    pays = [general_payoff(graph, partition, model, u)]
-    times = [] if collect_timings else None
-    for k in range(n_iters):
-        t0 = time.perf_counter() if collect_timings else 0.0
+    def tick(k, u):
         pollers = non_stubborn
         polled = sample_poll_targets(cdf, pollers, rng)
 
@@ -361,38 +369,27 @@ def run_general_rl(
         cp = codes[pollers]
         owns = cp >= 0
         diag = np.zeros(len(pollers))
+        reward = np.zeros(len(pollers))
         if owns.any() and n_ctrl:
             sel = cp[owns]
             diag[owns] = a[sel] * wd[sel] + ad[sel] * w[sel] - ad[sel] * values[polled[owns]]
+            reward[owns] = a[sel] * w[sel]
         _tick_fast_updates(grad_table, pollers, polled, alpha_node, diag, cp, steps)
-
         # value relaxation on the same events, reading pre-tick values
-        v_target = np.zeros(len(pollers))
-        v_target[owns] = a[cp[owns]] * w[cp[owns]]
-        v_target += (1.0 - alpha_node[pollers]) * values[polled]
-        values[pollers] += steps * (v_target - values[pollers])
+        _value_relax(values, pollers, polled, alpha_node, reward, steps)
 
         clocks.bump(pollers)
         if n_ctrl:
             u = annealed_slow_update(
                 u, grad_table.sum(axis=0), k, schedule, C, anneal_denom, budget, noise_rng
             )
-        if collect_timings:
-            times.append(time.perf_counter() - t0)
-        ks.append(k + 1)
-        us.append(u.copy())
-        pays.append(general_payoff(graph, partition, model, u))
+        return u
 
-    traj = Trajectory(
-        scheme="general-rl",
-        ks=np.array(ks),
-        u=np.array(us),
-        payoff=np.array(pays),
-        iter_seconds=np.array(times) if collect_timings else None,
-        extras={"values": values.copy(), "grad_table": grad_table.copy()},
+    traj = run_loop(
+        "general-rl", u, n_iters, tick,
+        lambda u: general_payoff(graph, partition, model, u), payoff_star,
     )
-    if payoff_star is not None:
-        traj.rel_gap = relative_gap(traj.payoff, payoff_star)
+    traj.extras = {"values": values.copy(), "grad_table": grad_table.copy()}
     return traj
 
 
@@ -408,7 +405,6 @@ def run_general_knownp(
     anneal_denom: int | None = None,
     u0: np.ndarray | None = None,
     payoff_star: float | None = None,
-    collect_timings: bool = False,
 ) -> Trajectory:
     """Deterministic-expectation twin of the sampled learner (same noise)."""
     noise_rng = _noise_rng(seed)
@@ -419,12 +415,8 @@ def run_general_knownp(
     values = _initial_values(partition)
     grad_table = np.zeros((n, n_ctrl))
 
-    ks = [0]
-    us = [u.copy()]
-    pays = [general_payoff(graph, partition, model, u)]
-    times = [] if collect_timings else None
-    for k in range(n_iters):
-        t0 = time.perf_counter() if collect_timings else 0.0
+    def tick(k, u):
+        nonlocal values, grad_table
         values, grad_table = known_p_updates(
             values, grad_table, partition, model, u, k, schedule, graph
         )
@@ -432,20 +424,11 @@ def run_general_knownp(
             u = annealed_slow_update(
                 u, grad_table.sum(axis=0), k, schedule, C, anneal_denom, budget, noise_rng
             )
-        if collect_timings:
-            times.append(time.perf_counter() - t0)
-        ks.append(k + 1)
-        us.append(u.copy())
-        pays.append(general_payoff(graph, partition, model, u))
+        return u
 
-    traj = Trajectory(
-        scheme="general-knownp",
-        ks=np.array(ks),
-        u=np.array(us),
-        payoff=np.array(pays),
-        iter_seconds=np.array(times) if collect_timings else None,
-        extras={"values": values.copy(), "grad_table": grad_table.copy()},
+    traj = run_loop(
+        "general-knownp", u, n_iters, tick,
+        lambda u: general_payoff(graph, partition, model, u), payoff_star,
     )
-    if payoff_star is not None:
-        traj.rel_gap = relative_gap(traj.payoff, payoff_star)
+    traj.extras = {"values": values.copy(), "grad_table": grad_table.copy()}
     return traj

@@ -65,6 +65,8 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{key} must be finite and positive")
+        if not (math.isfinite(self.anneal_c) and self.anneal_c >= 0):
+            raise ConfigError("anneal_c must be finite and nonnegative")
         if self.denom < 1:
             raise ConfigError("denom must be at least 1")
         for key in ("sgd_block", "anneal_denom"):
@@ -183,12 +185,7 @@ def build_instance(config: ExperimentConfig) -> Instance:
     )
 
 
-def run_scheme(
-    config: ExperimentConfig,
-    instance: Instance,
-    run_seed: int,
-    collect_timings: bool = False,
-) -> Trajectory:
+def run_scheme(config: ExperimentConfig, instance: Instance, run_seed: int) -> Trajectory:
     """Execute one seeded run of the configured scheme."""
     g, p = instance.graph, instance.partition
     schedule = instance.schedule
@@ -197,40 +194,36 @@ def run_scheme(
         return run_exact_gd(
             g, p, config.budget,
             n_iters=config.n_iters,
-            step_scale=config.gd_step_scale,
-            payoff_star=star, collect_timings=collect_timings,
+            step_scale=config.gd_step_scale, payoff_star=star,
         )
     if config.scheme == "sas":
         return sas.run_sas(
             g, p, config.budget, schedule, ActivationModel("synchronous"),
-            config.n_iters, run_seed, payoff_star=star, collect_timings=collect_timings,
+            config.n_iters, run_seed, payoff_star=star,
         )
     if config.scheme in ("sgd1", "sgd2"):
         return sgd.run_sgd(
             g, p, config.budget, int(config.scheme[-1]), config.n_iters, run_seed,
             step_A=config.step_a,
             block=config.sgd_block if config.sgd_block is not None else config.denom,
-            payoff_star=star, collect_timings=collect_timings,
+            payoff_star=star,
         )
     if config.scheme == "partial":
         # the hidden set is an instance property, fixed across run seeds
         hidden = partial_obs.sample_hidden(p, 1.0 - config.observed_fraction, config.seed)
         return partial_obs.run_partial(
             g, p, config.budget, schedule, config.n_iters, run_seed,
-            observed_fraction=config.observed_fraction, hidden=hidden,
-            payoff_star=star, collect_timings=collect_timings,
+            observed_fraction=config.observed_fraction, hidden=hidden, payoff_star=star,
         )
     if config.scheme == "general-rl":
         return general_mod.run_general_rl(
             g, p, instance.model, config.budget, schedule, config.n_iters, run_seed,
-            C=config.anneal_c, anneal_denom=config.anneal_denom,
-            payoff_star=star, collect_timings=collect_timings,
+            C=config.anneal_c, anneal_denom=config.anneal_denom, payoff_star=star,
         )
     if config.scheme == "general-knownp":
         return general_mod.run_general_knownp(
             g, p, instance.model, config.budget, schedule, config.n_iters, run_seed,
-            C=config.anneal_c, anneal_denom=config.anneal_denom,
-            payoff_star=star, collect_timings=collect_timings,
+            C=config.anneal_c, anneal_denom=config.anneal_denom, payoff_star=star,
         )
     raise ConfigError(f"unknown scheme {config.scheme!r}")
 
@@ -283,7 +276,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Run the configured scheme for every seed and emit CSVs plus a summary."""
     config.validate()
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out_dir} as the output directory: {exc}") from exc
     instance = build_instance(config)
 
     n_runs = 1 if config.scheme == "gd" else config.n_runs
@@ -318,35 +314,24 @@ def run_experiment(config: ExperimentConfig) -> dict:
 def timing_report(config: ExperimentConfig, schemes: list[str], n_iters: int = 100) -> dict:
     """Per-iteration wall-clock stats (min/median/max seconds) per scheme.
 
-    A note is attached when the two-time-scale scheme is not the cheapest
-    per iteration among the sampling-based schemes; timing is machine
-    dependent, so this stays a diagnostic.
+    The stats come from each run's ``iter_seconds``; ``notes`` is the list
+    for diagnostics about the report, empty today.
     """
     if not schemes:
         raise ConfigError("timing report needs at least one scheme")
+    if n_iters < 1:
+        raise ConfigError(f"timing needs at least one iteration, got {n_iters}")
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}")
     report: dict = {}
-    medians: dict[str, float] = {}
     for scheme in schemes:
         cfg = replace(config, scheme=scheme, n_iters=n_iters)
-        instance = build_instance(cfg)
-        traj = run_scheme(cfg, instance, cfg.seed, collect_timings=True)
-        times = traj.iter_seconds
-        if times is None or len(times) == 0:
-            stats = {"min": 0.0, "median": 0.0, "max": 0.0}
-        else:
-            stats = {
-                "min": float(np.min(times)),
-                "median": float(np.median(times)),
-                "max": float(np.max(times)),
-            }
-        report[scheme] = stats
-        medians[scheme] = stats["median"]
-    notes = []
-    sgd_meds = [medians[s] for s in ("sgd1", "sgd2") if s in medians]
-    if "sas" in medians and sgd_meds and medians["sas"] > min(sgd_meds):
-        notes.append("sas median per-iteration time above sgd (machine dependent)")
-    report["notes"] = notes
+        times = run_scheme(cfg, build_instance(cfg), cfg.seed).iter_seconds
+        report[scheme] = {
+            "min": float(np.min(times)),
+            "median": float(np.median(times)),
+            "max": float(np.max(times)),
+        }
+    report["notes"] = []
     return report

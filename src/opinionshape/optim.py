@@ -64,7 +64,7 @@ class LocalClocks:
 
 @dataclass
 class Trajectory:
-    """Per-iteration record of a run: controls, payoff, and optional gap."""
+    """Per-iteration record of a run: controls, payoff, gap, and tick times."""
 
     scheme: str
     ks: np.ndarray
@@ -81,10 +81,6 @@ class Trajectory:
         if self.rel_gap is None:
             raise ValueError("trajectory carries no gap column")
         return float(self.rel_gap[-1])
-
-
-def relative_gap(payoff: np.ndarray, payoff_star: float) -> np.ndarray:
-    return (payoff_star - np.asarray(payoff)) / payoff_star
 
 
 # support sizes 1, 2, ... of the water-filling candidates
@@ -133,6 +129,35 @@ def exact_gradient(graph: InteractionGraph, partition: AgentPartition, u: np.nda
     return coef[idx] * partition.alpha[idx] * partition.w_derivs(u)
 
 
+def run_loop(
+    scheme: str, u: np.ndarray, n_iters: int, tick, payoff, payoff_star: float | None
+) -> Trajectory:
+    """The outer loop every runner shares: n_iters calls u = tick(k, u).
+
+    Records the initial point, then each tick's u and payoff(u), and the
+    wall time of each tick (payoff recording excluded) as ``iter_seconds``.
+    With payoff_star the trajectory also carries the relative gap.
+    """
+    us = [u.copy()]
+    pays = [payoff(u)]
+    times = []
+    for k in range(n_iters):
+        t0 = time.perf_counter()
+        u = tick(k, u)
+        times.append(time.perf_counter() - t0)
+        us.append(u.copy())
+        pays.append(payoff(u))
+    pays = np.array(pays)
+    return Trajectory(
+        scheme=scheme,
+        ks=np.arange(n_iters + 1),
+        u=np.array(us),
+        payoff=pays,
+        rel_gap=None if payoff_star is None else (payoff_star - pays) / payoff_star,
+        iter_seconds=np.array(times),
+    )
+
+
 def run_exact_gd(
     graph: InteractionGraph,
     partition: AgentPartition,
@@ -141,44 +166,23 @@ def run_exact_gd(
     n_iters: int = 10_000,
     step_scale: float = 1.0,
     payoff_star: float | None = None,
-    record_every: int = 1,
-    collect_timings: bool = False,
 ) -> Trajectory:
     """Projected gradient ascent with diminishing step step_scale / (k + 1).
 
-    Deterministic; the trajectory records the initial point and every
-    ``record_every``-th iterate plus the final one.  With collect_timings,
-    ``iter_seconds`` holds the wall time of every step.
+    Deterministic; the trajectory records the initial point and every iterate.
     """
     n_ctrl = len(partition.controlled)
     u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
-    payoff = payoff_fn(graph, partition)
     idx = list(partition.controlled)
     gains = payoff_coefficients(graph, partition)[idx] * partition.alpha[idx]
 
-    ks, us, pays = [0], [u.copy()], [payoff(u)]
-    times = [] if collect_timings else None
-    for k in range(n_iters):
-        t0 = time.perf_counter() if collect_timings else 0.0
-        if n_ctrl:
-            grad = gains * partition.w_derivs(u)
-            u = project_budget_simplex(u + (step_scale / (k + 1)) * grad, budget)
-        if collect_timings:
-            times.append(time.perf_counter() - t0)
-        if (k + 1) % record_every == 0 or k == n_iters - 1:
-            ks.append(k + 1)
-            us.append(u.copy())
-            pays.append(payoff(u))
-    traj = Trajectory(
-        scheme="gd",
-        ks=np.array(ks),
-        u=np.array(us),
-        payoff=np.array(pays),
-        iter_seconds=np.array(times) if collect_timings else None,
-    )
-    if payoff_star is not None:
-        traj.rel_gap = relative_gap(traj.payoff, payoff_star)
-    return traj
+    def tick(k, u):
+        if not n_ctrl:
+            return u
+        grad = gains * partition.w_derivs(u)
+        return project_budget_simplex(u + (step_scale / (k + 1)) * grad, budget)
+
+    return run_loop("gd", u, n_iters, tick, payoff_fn(graph, partition), payoff_star)
 
 
 def exact_optimum(

@@ -17,7 +17,6 @@ the full payoff, so the logged gap need not reach zero.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_right
 from typing import NamedTuple
 
@@ -26,7 +25,7 @@ import numpy as np
 from .dynamics import payoff_fn
 from .errors import NonAbsorbingError
 from .network import AgentPartition, InteractionGraph
-from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, relative_gap
+from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, run_loop
 
 HOP_CAP = 10_000_000
 
@@ -210,7 +209,6 @@ def run_partial(
     hidden: set[int] | None = None,
     u0: np.ndarray | None = None,
     payoff_star: float | None = None,
-    collect_timings: bool = False,
 ) -> Trajectory:
     """Full restricted-observation loop: probe, fast updates, slow step.
 
@@ -230,15 +228,11 @@ def run_partial(
     u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
     grad_vec = {node: 0.0 for node in observed}
     clocks = LocalClocks.zeros(graph.node_count)
-    payoff = payoff_fn(graph, partition)
 
-    ks = [0]
-    us = [u.copy()]
-    pays = [payoff(u)]
     hop_totals = 0
-    times = [] if collect_timings else None
-    for k in range(n_iters):
-        t0 = time.perf_counter() if collect_timings else 0.0
+
+    def tick(k, u):
+        nonlocal hop_totals
         snapshot = dict(grad_vec)
         steps = schedule.a(clocks.counts)
         w_der = partition.w_derivs(u)
@@ -253,25 +247,13 @@ def run_partial(
         clocks.bump(learners)
         if n_ctrl:
             u = partial_slow_update(u, grad_vec, partition, k, schedule, budget)
-        if collect_timings:
-            times.append(time.perf_counter() - t0)
-        ks.append(k + 1)
-        us.append(u.copy())
-        pays.append(payoff(u))
+        return u
 
-    traj = Trajectory(
-        scheme="partial",
-        ks=np.array(ks),
-        u=np.array(us),
-        payoff=np.array(pays),
-        iter_seconds=np.array(times) if collect_timings else None,
-        extras={
-            "grad_vec": dict(grad_vec),
-            "observed": observed,
-            "hidden": set(hidden),
-            "mean_hops": hop_totals / max(1, n_iters * max(1, len(learners))),
-        },
-    )
-    if payoff_star is not None:
-        traj.rel_gap = relative_gap(traj.payoff, payoff_star)
+    traj = run_loop("partial", u, n_iters, tick, payoff_fn(graph, partition), payoff_star)
+    traj.extras = {
+        "grad_vec": dict(grad_vec),
+        "observed": observed,
+        "hidden": set(hidden),
+        "mean_hops": hop_totals / max(1, n_iters * max(1, len(learners))),
+    }
     return traj

@@ -10,14 +10,12 @@ simplex.  Stubborn rows stay pinned at zero.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .dynamics import payoff_fn, sample_poll_targets
 from .errors import DivergenceError
 from .network import STUBBORN, ActivationModel, AgentPartition, InteractionGraph, stationary_system
-from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, relative_gap
+from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, run_loop
 
 # sanity ceiling on table entries: alpha_max * max w' / alpha_min, slack 10x
 BOUND_SLACK = 10.0
@@ -117,7 +115,6 @@ def run_sas(
     u0: np.ndarray | None = None,
     payoff_star: float | None = None,
     freeze_u: bool = False,
-    collect_timings: bool = False,
 ) -> Trajectory:
     """Run the coupled fast/slow recursion for n_iters ticks.
 
@@ -132,7 +129,6 @@ def run_sas(
     u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
     grad_table = np.zeros((n, n_ctrl))
     clocks = LocalClocks.zeros(n)
-    payoff = payoff_fn(graph, partition)
     cdf = graph.poll_cdf()
 
     codes = partition.node_codes()
@@ -142,12 +138,7 @@ def run_sas(
 
     bound = _table_bound(partition)
 
-    ks = [0]
-    us = [u.copy()]
-    pays = [payoff(u)]
-    times = [] if collect_timings else None
-    for k in range(n_iters):
-        t0 = time.perf_counter() if collect_timings else 0.0
+    def tick(k, u):
         if activation.mode == "synchronous":
             pollers = non_stubborn
         else:
@@ -164,26 +155,14 @@ def run_sas(
         updated = _tick_fast_updates(grad_table, pollers, polled, alpha, diag, cp, steps)
         clocks.bump(pollers)
         if not freeze_u and n_ctrl:
-            u = project_budget_simplex(u + schedule.b(k) * grad_table.sum(axis=0), budget)
-        if collect_timings:
-            times.append(time.perf_counter() - t0)
-        ks.append(k + 1)
-        us.append(u.copy())
-        pays.append(payoff(u))
+            u = sas_slow_update(u, grad_table, k, schedule, budget)
         # rows left alone this tick passed on an earlier one
         if not np.max(np.abs(updated), initial=0.0) <= bound:
             raise DivergenceError(f"sensitivity table left its sanity bound {bound:.3g} at tick {k + 1}")
+        return u
 
-    traj = Trajectory(
-        scheme="sas",
-        ks=np.array(ks),
-        u=np.array(us),
-        payoff=np.array(pays),
-        iter_seconds=np.array(times) if collect_timings else None,
-        extras={"grad_table": grad_table, "clocks": clocks.counts.copy()},
-    )
-    if payoff_star is not None:
-        traj.rel_gap = relative_gap(traj.payoff, payoff_star)
+    traj = run_loop("sas", u, n_iters, tick, payoff_fn(graph, partition), payoff_star)
+    traj.extras = {"grad_table": grad_table, "clocks": clocks.counts.copy()}
     return traj
 
 

@@ -13,7 +13,6 @@ Column-summing over one walk per start node gives the gradient estimate
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_right
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .dynamics import payoff_fn
 from .errors import NonAbsorbingError
 from .network import STUBBORN, AgentPartition, InteractionGraph
-from .optim import Trajectory, project_budget_simplex, relative_gap
+from .optim import Trajectory, project_budget_simplex, run_loop
 
 WALK_STEP_CAP = 10_000_000
 # walks left live when the lockstep moves from numpy arrays to Python lists:
@@ -196,7 +195,6 @@ def run_sgd(
     u0: np.ndarray | None = None,
     payoff_star: float | None = None,
     uniform_single_start: bool = False,
-    collect_timings: bool = False,
 ) -> Trajectory:
     """Stochastic gradient ascent fed by one walk per start node per iteration.
 
@@ -206,37 +204,18 @@ def run_sgd(
     rng = np.random.default_rng(seed)
     n_ctrl = len(partition.controlled)
     u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
-    payoff = payoff_fn(graph, partition)
     starts_all = np.array(
         sorted(set(range(graph.node_count)) - set(partition.stubborn)), dtype=int
     )
 
-    ks = [0]
-    us = [u.copy()]
-    pays = [payoff(u)]
-    times = [] if collect_timings else None
-    for k in range(n_iters):
-        t0 = time.perf_counter() if collect_timings else 0.0
-        if len(starts_all) and n_ctrl:
-            if uniform_single_start:
-                starts = starts_all[rng.integers(len(starts_all), size=1)]
-            else:
-                starts = starts_all
-            contrib = _walk_batch(graph, partition, starts, scheme, rng)
-            u = sgd_step(u, contrib.sum(axis=0), k, partition, budget, step_A, block)
-        if collect_timings:
-            times.append(time.perf_counter() - t0)
-        ks.append(k + 1)
-        us.append(u.copy())
-        pays.append(payoff(u))
+    def tick(k, u):
+        if not (len(starts_all) and n_ctrl):
+            return u
+        if uniform_single_start:
+            starts = starts_all[rng.integers(len(starts_all), size=1)]
+        else:
+            starts = starts_all
+        contrib = _walk_batch(graph, partition, starts, scheme, rng)
+        return sgd_step(u, contrib.sum(axis=0), k, partition, budget, step_A, block)
 
-    traj = Trajectory(
-        scheme=f"sgd{scheme}",
-        ks=np.array(ks),
-        u=np.array(us),
-        payoff=np.array(pays),
-        iter_seconds=np.array(times) if collect_timings else None,
-    )
-    if payoff_star is not None:
-        traj.rel_gap = relative_gap(traj.payoff, payoff_star)
-    return traj
+    return run_loop(f"sgd{scheme}", u, n_iters, tick, payoff_fn(graph, partition), payoff_star)

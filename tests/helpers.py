@@ -10,7 +10,9 @@ import numpy as np
 from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
 from opinionshape.dynamics import payoff_coefficients, payoff_fn
 from opinionshape.errors import DivergenceError, NonAbsorbingError
+from opinionshape.general import GeneralModel
 from opinionshape.network import AgentPartition, InteractionGraph, random_partition
+from opinionshape.optim import LocalClocks, StepSchedule
 from opinionshape.partial_obs import HOP_CAP, Token
 from opinionshape.sgd import WALK_STEP_CAP
 
@@ -324,6 +326,74 @@ def reference_tick_fast_updates(
     owns = ctrl_pos >= 0
     target[owns, ctrl_pos[owns]] += diag_driver[owns]
     grad_table[pollers] += steps[:, None] * (target - grad_table[pollers])
+
+
+def reference_value_update(
+    values: np.ndarray,
+    node: int,
+    probed: int,
+    partition: AgentPartition,
+    model: GeneralModel,
+    u: np.ndarray,
+    clocks: LocalClocks,
+    schedule: StepSchedule,
+) -> np.ndarray:
+    """``general.value_update`` as a per-event function, the oracle for its
+    one-row call of the tick's value relaxation: relax one node's value
+    toward its sampled one-step target."""
+    if node in partition.stubborn:
+        return values
+    new = values.copy()
+    pos = partition.control_index().get(node)
+    if pos is not None:
+        a = model.alpha_curves[node].value(float(u[pos]))
+        w = model.w_curves[node].value(float(u[pos]))
+    else:
+        a, w = 0.0, 0.0
+    step = schedule.a(clocks.value(node))
+    new[node] = values[node] + step * (a * w + (1.0 - a) * values[probed] - values[node])
+    clocks.bump([node])
+    return new
+
+
+def reference_general_grad_update(
+    grad_table: np.ndarray,
+    values: np.ndarray,
+    node: int,
+    probed: int,
+    partition: AgentPartition,
+    model: GeneralModel,
+    u: np.ndarray,
+    clocks: LocalClocks,
+    schedule: StepSchedule,
+) -> np.ndarray:
+    """``general.general_grad_update`` as a per-event function, the oracle for
+    its one-row call of ``sas._tick_fast_updates``: the sensitivity update
+    carrying the influence-curve derivative terms.
+
+    With a flat influence curve (zero derivative) this is exactly the
+    two-time-scale fast update.
+    """
+    if node in partition.stubborn:
+        return grad_table
+    new = grad_table.copy()
+    pos = partition.control_index().get(node)
+    if pos is not None:
+        x = float(u[pos])
+        a = model.alpha_curves[node].value(x)
+        ad = model.alpha_curves[node].deriv(x)
+        w = model.w_curves[node].value(x)
+        wd = model.w_curves[node].deriv(x)
+    else:
+        a, ad, w, wd = 0.0, 0.0, 0.0, 0.0
+    step = schedule.a(clocks.value(node))
+    target = (1.0 - a) * grad_table[probed]
+    if pos is not None:
+        target = target.copy()
+        target[pos] += a * wd + ad * w - ad * values[probed]
+    new[node] = grad_table[node] + step * (target - grad_table[node])
+    clocks.bump([node])
+    return new
 
 
 def reference_project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Batched reward curves and the in-place sas tick against their previous
-scalar and temporary-allocating implementations, kept in ``helpers.py``."""
+"""Batched reward curves, the in-place sas tick and the general model's
+one-row kernels against their previous scalar, temporary-allocating and
+per-event implementations, kept in ``helpers.py``."""
 
 from __future__ import annotations
 
@@ -14,11 +15,19 @@ from hypothesis import strategies as st
 from opinionshape import sas
 from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
 from opinionshape.errors import DivergenceError
+from opinionshape.general import GeneralModel, general_grad_update, value_update
 from opinionshape.network import ActivationModel, AgentPartition
-from opinionshape.optim import LocalClocks
+from opinionshape.optim import LocalClocks, StepSchedule
 from opinionshape.sas import _tick_fast_updates, run_sas, sas_fast_update
 
-from helpers import graph_from_P, reference_tick_fast_updates, reference_w_derivs, reference_w_values
+from helpers import (
+    graph_from_P,
+    reference_general_grad_update,
+    reference_tick_fast_updates,
+    reference_value_update,
+    reference_w_derivs,
+    reference_w_values,
+)
 
 
 @dataclass(frozen=True)
@@ -261,3 +270,57 @@ class TestDivergenceTick:
         with pytest.raises(DivergenceError, match=f"at tick {over[0]}$"):
             run_sas(graph, partition, budget, schedule, activation, 60, 3)
         run_sas(graph, partition, budget, schedule, activation, over[0] - 1, 3)
+
+
+@st.composite
+def general_event_cases(draw):
+    """A general-model instance, its tables, one poll event and local clocks."""
+    n = draw(st.integers(1, 8))
+    n_ctrl = draw(st.integers(0, n))
+    n_stub = draw(st.integers(0, n - n_ctrl))
+    controlled = tuple(range(n_ctrl))
+    stubborn = tuple(range(n - n_stub, n))
+    partition = AgentPartition(
+        controlled=controlled,
+        uncontrolled=tuple(range(n_ctrl, n - n_stub)),
+        stubborn=stubborn,
+        alpha=np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n_ctrl, max_size=n_ctrl)) + [0.0] * (n - n_ctrl)),
+        h={i: 0.5 for i in stubborn},
+        w={i: SaturatingCurve() for i in controlled},
+    )
+    model = GeneralModel(
+        alpha_curves={i: draw(CURVES) for i in controlled},
+        w_curves={i: draw(CURVES) for i in controlled},
+    )
+    entries = st.floats(-1e6, 1e6, allow_nan=False)
+    table = np.array(draw(st.lists(entries, min_size=n * n_ctrl, max_size=n * n_ctrl))).reshape(n, n_ctrl)
+    values = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    u = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=n_ctrl, max_size=n_ctrl)))
+    node, probed = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    counts = np.array(draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n)), dtype=np.int64)
+    schedule = StepSchedule(draw(st.floats(0.01, 2.0)), 0.6, draw(st.integers(1, 200)))
+    return partition, model, table, values, u, node, probed, counts, schedule
+
+
+class TestGeneralOneRow:
+    @settings(max_examples=300, deadline=None)
+    @given(case=general_event_cases())
+    def test_value_update_matches_per_event(self, case):
+        partition, model, _, values, u, node, probed, counts, schedule = case
+        clocks, ref_clocks = LocalClocks(counts.copy()), LocalClocks(counts.copy())
+        got = value_update(values, node, probed, partition, model, u, clocks, schedule)
+        want = reference_value_update(values, node, probed, partition, model, u, ref_clocks, schedule)
+        assert got.tobytes() == want.tobytes()
+        assert clocks.counts.tolist() == ref_clocks.counts.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=general_event_cases())
+    def test_grad_update_matches_per_event(self, case):
+        partition, model, table, values, u, node, probed, counts, schedule = case
+        clocks, ref_clocks = LocalClocks(counts.copy()), LocalClocks(counts.copy())
+        got = general_grad_update(table, values, node, probed, partition, model, u, clocks, schedule)
+        want = reference_general_grad_update(
+            table, values, node, probed, partition, model, u, ref_clocks, schedule
+        )
+        assert got.tobytes() == want.tobytes()
+        assert clocks.counts.tolist() == ref_clocks.counts.tolist()

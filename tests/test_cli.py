@@ -95,12 +95,32 @@ def test_timing_empty_schemes_is_exit_2(tmp_path):
         ("step_b", -0.6),
         ("step_b", "nan"),
         ("gd_step_scale", 0.0),
+        ("anneal_c", "nan"),
+        ("anneal_c", -5.0),
+        ("anneal_c", "inf"),
     ],
 )
 def test_bad_numeric_setting_is_exit_2(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, out_dir=tmp_path / "bad", **{key: value})
     assert main(["run", "--config", str(cfg)]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_timing_without_iterations_is_exit_2(tmp_path, capsys, iters):
+    cfg = write_config(tmp_path, out_dir=tmp_path / "t")
+    assert main(["timing", "--config", str(cfg), "--schemes", "sas", f"--timing-iters={iters}"]) == 2
+    assert "at least one iteration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under_file", [False, True])
+def test_unusable_output_directory_is_exit_2(tmp_path, capsys, under_file):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    out = taken / "runs" if under_file else taken
+    cfg = write_config(tmp_path, out_dir=out)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert str(out) in capsys.readouterr().err
 
 
 def test_diverging_sas_is_exit_3(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from opinionshape import harness
 from opinionshape.errors import ConfigError
 from opinionshape.harness import (
+    SCHEMES,
     build_instance,
     parse_config,
     read_run_csv,
@@ -172,6 +173,44 @@ class TestRunExperiment:
             result = run_experiment(cfg)
             data = read_run_csv(result["runs"][0])
             assert len(data["k"]) == 61
+
+
+@pytest.fixture(scope="module")
+def karate_instances():
+    """Build one karate instance per model: the general reference optimum takes seconds."""
+    built = {}
+
+    def get(cfg):
+        general = cfg.scheme.startswith("general")
+        if general not in built:
+            built[general] = build_instance(cfg)
+        return built[general]
+
+    return get
+
+
+EXTRAS = {
+    "gd": set(),
+    "sas": {"grad_table", "clocks"},
+    "sgd1": set(),
+    "sgd2": set(),
+    "partial": {"grad_vec", "observed", "hidden", "mean_hops"},
+    "general-rl": {"values", "grad_table"},
+    "general-knownp": {"values", "grad_table"},
+}
+
+
+@pytest.mark.parametrize("n_iters", [0, 5])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_loop_records_every_tick(tmp_path, karate_instances, scheme, n_iters):
+    cfg = parse_config(write_config(tmp_path, scheme=scheme, n_iters=n_iters))
+    traj = run_scheme(cfg, karate_instances(cfg), cfg.seed)
+    assert traj.scheme == scheme
+    assert np.array_equal(traj.ks, np.arange(n_iters + 1))
+    assert len(traj.iter_seconds) == n_iters
+    assert traj.u.shape == (n_iters + 1, 3)
+    assert len(traj.payoff) == len(traj.rel_gap) == n_iters + 1
+    assert set(traj.extras) == EXTRAS[scheme]
 
 
 class TestTiming:
