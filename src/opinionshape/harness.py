@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ConfigError("n_iters must be nonnegative")
         if self.n_runs < 1:
             raise ConfigError("n_runs must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if not (math.isfinite(self.budget) and self.budget > 0):
             raise ConfigError("budget must be finite and positive")
         for key in ("step_a", "step_b", "gd_step_scale"):
@@ -315,7 +317,8 @@ def timing_report(config: ExperimentConfig, schemes: list[str], n_iters: int = 1
     """Per-iteration wall-clock stats (min/median/max seconds) per scheme.
 
     The stats come from each run's ``iter_seconds``; ``notes`` is the list
-    for diagnostics about the report, empty today.
+    for diagnostics about the report, empty today.  The instance is built
+    once per set-up kind: the general schemes share one, the others another.
     """
     if not schemes:
         raise ConfigError("timing report needs at least one scheme")
@@ -325,9 +328,13 @@ def timing_report(config: ExperimentConfig, schemes: list[str], n_iters: int = 1
         if scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}")
     report: dict = {}
+    instances: dict[bool, Instance] = {}
     for scheme in schemes:
         cfg = replace(config, scheme=scheme, n_iters=n_iters)
-        times = run_scheme(cfg, build_instance(cfg), cfg.seed).iter_seconds
+        general = scheme.startswith("general")
+        if general not in instances:
+            instances[general] = build_instance(cfg)
+        times = run_scheme(cfg, instances[general], cfg.seed).iter_seconds
         report[scheme] = {
             "min": float(np.min(times)),
             "median": float(np.median(times)),

@@ -95,6 +95,17 @@ class InteractionGraph:
             self._adjoint[1].setflags(write=False)
 
 
+# array draws of at least this many queries start from the guide table;
+# smaller ones cost less as one binary search over the whole table
+GUIDED_BATCH = 64
+# forward passes a guided draw makes before the unresolved queries fall
+# back to the binary search
+GUIDE_PASSES = 4
+# guide buckets per table entry: with two, a start lies at most half an
+# average entry behind its uniform, and most wide batches need one step
+GUIDE_BUCKETS = 2
+
+
 @dataclass(frozen=True)
 class PollTable:
     """Row-wise cumulative poll law stored over each row's neighbours only.
@@ -109,6 +120,20 @@ class PollTable:
     last neighbour is pinned at exactly 1, so rounding in the row sum can
     never send a draw past it.
 
+    Array draws of ``GUIDED_BATCH`` or more queries use a guide table
+    (Chen and Asau, 1974), O(1) expected per draw.  A row of degree d has
+    m = ``GUIDE_BUCKETS`` * d buckets of width 1 / m.  Bucket b holds the
+    first entry of the row whose cumulative weight exceeds (b - 1) / m.  A
+    query (i, r) starts at bucket ``int(r * m)`` of row i and steps forward
+    while the cumulative weight is at most r.  The rounding of ``r * m`` is
+    under one bucket, so every entry before the start has a cumulative
+    weight at most (b - 1) / m < r, and the scan stops on the entry the
+    binary search picks; the pin at 1 keeps it inside the row.  For r < 1
+    the rounded ``r * m`` stays below the integer m, so the bucket exists.  Queries still moving
+    after ``GUIDE_PASSES`` steps (clustered weights) finish with the binary
+    search.  The guide is built on the first guided draw, so samplers that
+    never make one (token relays, karate's narrow batches) never pay for it.
+
     Scalar draws bisect Python lists of the same table instead (see
     ``row_lists``): per draw that is cheaper than a numpy call.
     """
@@ -117,6 +142,9 @@ class PollTable:
     keys: np.ndarray
     shape: tuple[int, int]
     _lists: tuple[list[int], list[float], list[int]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _guide: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -149,17 +177,54 @@ class PollTable:
             object.__setattr__(self, "_lists", lists)
         return lists
 
+    def guide_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's m (as floats), each row's offset into the guide, and
+        the guide itself, built on the first guided draw.
+
+        Row ``i``'s m buckets are ``guide[bucket0[i]]`` to
+        ``guide[bucket0[i] + m - 1]``.  Bucket ``b`` is the complex-key
+        search for ``(i, (b - 1) / m)``.
+        """
+        table = self._guide
+        if table is None:
+            n = self.shape[0]
+            m = GUIDE_BUCKETS * np.diff(np.searchsorted(self.keys.real, np.arange(n + 1)))
+            bucket0 = np.cumsum(m) - m
+            owner = np.repeat(np.arange(n), m)
+            b = np.arange(len(owner)) - bucket0[owner]
+            guide = self._search(owner, (b - 1) / m[owner])
+            table = (m.astype(float), bucket0, guide)
+            object.__setattr__(self, "_guide", table)
+        return table
+
     def draw(self, rows, r):
         """Polled neighbour per (row, uniform) pair: scalars, or ``rows``
         broadcast against the array ``r``."""
         if isinstance(r, float):
             ptr, cum, cols = self.row_lists()
             return cols[bisect_right(cum, r, ptr[rows], ptr[rows + 1])]
+        if np.size(r) < GUIDED_BATCH:
+            return self.indices[self._search(rows, r)]
+        cum = self.keys.imag
+        buckets, bucket0, guide = self.guide_table()
+        j = guide[bucket0[rows] + (r * buckets[rows]).astype(np.intp)]
+        # count_nonzero is the cheapest "any" on short boolean arrays
+        for _ in range(GUIDE_PASSES):
+            ahead = cum[j] <= r
+            if not np.count_nonzero(ahead):
+                return self.indices[j]
+            j += ahead
+        ahead = cum[j] <= r
+        if np.count_nonzero(ahead):
+            j[ahead] = self._search(np.broadcast_to(rows, np.shape(r))[ahead], r[ahead])
+        return self.indices[j]
+
+    def _search(self, rows, r):
         # filling the parts skips the temporaries of rows + 1j * r
         query = np.empty(np.shape(r), dtype=complex)
         query.real = rows
         query.imag = r
-        return self.indices[np.searchsorted(self.keys, query, side="right")]
+        return np.searchsorted(self.keys, query, side="right")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
 from opinionshape.dynamics import payoff_coefficients, payoff_fn
 from opinionshape.errors import DivergenceError, NonAbsorbingError
 from opinionshape.general import GeneralModel
-from opinionshape.network import AgentPartition, InteractionGraph, random_partition
+from opinionshape.network import AgentPartition, InteractionGraph, PollTable, random_partition
 from opinionshape.optim import LocalClocks, StepSchedule
 from opinionshape.partial_obs import HOP_CAP, Token
 from opinionshape.sgd import WALK_STEP_CAP
@@ -180,6 +180,16 @@ def reference_exact_optimum(
     if s > 0:
         u_star = u_star * (budget / s) if abs(s - budget) < 1e-6 else u_star
     return u_star, payoff(u_star)
+
+
+def reference_poll_draw(table: PollTable, rows, r: np.ndarray) -> np.ndarray:
+    """``PollTable.draw`` for an array ``r`` as it was before the guide
+    table: one complex-key binary search over every table entry."""
+    # filling the parts skips the temporaries of rows + 1j * r
+    query = np.empty(np.shape(r), dtype=complex)
+    query.real = rows
+    query.imag = r
+    return table.indices[np.searchsorted(table.keys, query, side="right")]
 
 
 def reference_walk_batch(

@@ -106,6 +106,18 @@ def test_bad_numeric_setting_is_exit_2(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+def test_negative_seed_flag_is_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, out_dir=tmp_path / "neg")
+    assert main(["run", "--config", str(cfg), "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_negative_seed_in_config_is_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, seed=-1, out_dir=tmp_path / "neg")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("iters", ["0", "-3"])
 def test_timing_without_iterations_is_exit_2(tmp_path, capsys, iters):
     cfg = write_config(tmp_path, out_dir=tmp_path / "t")

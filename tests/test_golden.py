@@ -28,6 +28,9 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "karate_sas.cfg"
 SCHEMES = ("gd", "sas", "sgd1", "sgd2", "partial")
 
 RING_N = 40
+# a synthetic graph wide enough that sas ticks and sgd walk fronts draw
+# polls in arrays of a few hundred queries
+WIDE_N = 320
 
 
 def write_ring_with_chords(path: Path) -> None:
@@ -37,6 +40,19 @@ def write_ring_with_chords(path: Path) -> None:
         lines.append(f"{i} {(i + 1) % RING_N} {1 + i % 3}")
         if i % 2 == 0:
             lines.append(f"{i} {(7 * i + 5) % RING_N} 0.5")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def write_weighted_random_graph(path: Path) -> None:
+    """Seeded weighted undirected graph on WIDE_N nodes: a ring plus three
+    random arcs per node, integer weights 1-9."""
+    rng = np.random.default_rng(20)
+    lines = []
+    for i in range(WIDE_N):
+        lines.append(f"{i} {(i + 1) % WIDE_N} {rng.integers(1, 10)}")
+        for j in rng.choice(WIDE_N, size=3, replace=False):
+            if j != i:
+                lines.append(f"{i} {j} {rng.integers(1, 10)}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -56,6 +72,14 @@ def short_config(tmp_path: Path, instance: str, scheme: str, **overrides):
         config = replace(
             config, network=str(edges), weighted=True,
             s_size=4, s1_size=30, s0_size=6, budget=3.0, seed=5,
+        )
+    elif instance == "wide":
+        edges = tmp_path / "wide.edges"
+        write_weighted_random_graph(edges)
+        config = replace(
+            config, network=str(edges), weighted=True,
+            s_size=16, s1_size=288, s0_size=16, budget=4.0, seed=2, step_a=0.002,
+            n_iters=20 if scheme == "sas" else 3,
         )
     return replace(config, **overrides)
 
@@ -146,6 +170,33 @@ GOLDEN_SIMULATORS = {
     'gossip_asynchronous': 'cc401c08b5b607ab5ad5f4d8d03f6598a3708b5b68d93158a66955969c2505b3',
     'stats_asynchronous': 'ed883825151e7bcae6bbd4db7c15296a94a68e869b38a0e3df79dc4897cf1a11',
 }
+
+
+# the WIDE_N-node graph: each sas tick draws 304 polls in one array and
+# each sgd iteration starts 304 walks, so these pin the poll draws of wide
+# batches, which karate and the ring never make
+GOLDEN_WIDE = {
+    ('wide', 'sas'): {
+        'sas_seed2.csv': 'c35882ba558923adc0f2ad8f67c1dcbf11e97afe612a2eed5a2af6af778a83ac',
+        'sas_seed3.csv': '74a84db841612e4fa62989614ff3faeff7cdc70407e50adddf694b7e6ffcea98',
+        'sas_summary.csv': '3b0de87e67986c7d21c6339ef3c154eab303f2adfb35d2c191e9a60bb7b9d38e',
+    },
+    ('wide', 'sgd1'): {
+        'sgd1_seed2.csv': 'bced6f5ff920f57b054e9d9bf165fdca6f8b1ee67ce01ea7bf27a1db5b5cf1a9',
+        'sgd1_seed3.csv': '0e4f17fb84dd1cad3bbc3962ca9b92fd9dcdea5411f867b16a73d9296bdf5388',
+        'sgd1_summary.csv': '7391d9712aeb532aebc98afe98d216fad1140157e3f951e567c462e158248187',
+    },
+    ('wide', 'sgd2'): {
+        'sgd2_seed2.csv': '661623c0b15f3d628bf82a06ec84d35e7b3605d0cab801ec6b082f9b517cd53b',
+        'sgd2_seed3.csv': '91ca2c9ee49369a1d1be74d1c89a0993e9254e483a95a95e5440205df60f6934',
+        'sgd2_summary.csv': 'a58af15b196e64b99c750454e406f6604aaeca3fbabfabccabe05cd063c413b5',
+    },
+}
+
+
+@pytest.mark.parametrize("scheme", ["sas", "sgd1", "sgd2"])
+def test_wide_batch_csv_bytes_match_golden_digests(tmp_path, scheme):
+    assert run_short(tmp_path, "wide", scheme) == GOLDEN_WIDE["wide", scheme]
 
 
 @pytest.mark.parametrize(

@@ -236,3 +236,21 @@ class TestTiming:
         cfg = parse_config(write_config(tmp_path))
         with pytest.raises(ConfigError, match="at least one"):
             timing_report(cfg, [])
+
+    def test_one_instance_per_setup_kind(self, tmp_path, monkeypatch):
+        # general schemes share the general instance, the others the base one
+        built = []
+
+        def counting_build(config):
+            built.append(config.scheme)
+            return build_instance(config)
+
+        monkeypatch.setattr(harness, "build_instance", counting_build)
+        monkeypatch.setattr(
+            harness.general_mod, "general_reference_optimum", lambda graph, partition, model, budget: (None, 1.0)
+        )
+        cfg = parse_config(write_config(tmp_path, out_dir=tmp_path / "t"))
+        schemes = ["sas", "general-rl", "gd", "general-knownp", "sgd1"]
+        report = timing_report(cfg, schemes, n_iters=3)
+        assert built == ["sas", "general-rl"]
+        assert all(report[s]["min"] > 0.0 for s in schemes)

@@ -1,5 +1,6 @@
-"""The cached poll table: exact draws against the dense reference, the last-neighbour pin,
-and the walk and relay kernels against their previous implementations."""
+"""The cached poll table: exact draws against the dense reference, guided draws against
+the binary search, the last-neighbour pin, and the walk and relay kernels against their
+previous implementations."""
 
 from __future__ import annotations
 
@@ -14,9 +15,12 @@ from hypothesis import strategies as st
 from opinionshape.curves import SaturatingCurve
 from opinionshape.dynamics import sample_poll_targets
 from opinionshape.network import (
+    GUIDE_BUCKETS,
+    GUIDED_BATCH,
     STUBBORN,
     UNCONTROLLED,
     AgentPartition,
+    PollTable,
     bundled_network_path,
     load_edge_list,
     row_normalize,
@@ -30,6 +34,7 @@ from opinionshape.sgd import NARROW_FRONT, _walk_batch
 from helpers import (
     graph_from_P,
     random_instance,
+    reference_poll_draw,
     reference_relay_token,
     reference_walk_batch,
     ring_chords_instance,
@@ -93,6 +98,134 @@ def test_cumulative_weights_equal_dense_cumsum_except_pin(P):
     assert np.array_equal(table.keys.real, rows)
     assert np.array_equal(cum[~last], np.cumsum(P, axis=1)[rows, cols][~last])
     assert np.all(cum[last] == 1.0)
+
+
+@st.composite
+def clustered_poll_matrices(draw):
+    """Rows of log-uniform weights from 1e-12 to 1, so cumulative weights
+    bunch up and guided scans run long; zero-weight arcs and rows with a
+    single neighbour.  Hypothesis picks the size, the zero and
+    single-neighbour shares and a seed that fills the matrix."""
+    n = draw(st.integers(1, 40))
+    zeros = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    single = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adjacency = 10.0 ** rng.uniform(-12.0, 0.0, (n, n))
+    adjacency[rng.random((n, n)) < zeros] = 0.0
+    for i in range(n):
+        if not adjacency[i].any() or rng.random() < single:
+            keep = rng.integers(n)
+            adjacency[i, np.arange(n) != keep] = 0.0
+            adjacency[i, keep] = 10.0 ** rng.uniform(-12.0, 0.0)
+    return row_normalize(adjacency)
+
+
+def table_uniforms(table: PollTable, rng: np.random.Generator, shape) -> np.ndarray:
+    """Arbitrary uniforms mixed with values on, just below and just above
+    stored cumulative weights, 0, and the largest double below 1."""
+    stored = table.keys.imag[table.keys.imag < 1.0]
+    near = np.concatenate([[0.0], stored, np.nextafter(stored, 0.0), np.nextafter(stored, 1.0)])
+    near = near[near < 1.0]
+    pick = rng.random(shape)
+    r = np.where(pick < 0.4, rng.choice(near, shape), rng.random(shape))
+    return np.where(pick > 0.9, TOP, r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(P=clustered_poll_matrices(), data=st.data())
+def test_guided_draw_matches_binary_search(P, data):
+    # hypothesis picks the graph, the batch shape and a seed; the seed
+    # fills the batch, which is too wide to draw element by element
+    table = graph_from_P(P).poll_cdf()
+    width = data.draw(st.one_of(
+        st.sampled_from([GUIDED_BATCH - 1, GUIDED_BATCH, GUIDED_BATCH + 1]),
+        st.integers(1, 3 * GUIDED_BATCH),
+    ))
+    runs = data.draw(st.sampled_from([None, 1, 2, 3]))
+    shape = (width,) if runs is None else (runs, width)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, P.shape[0], width)
+    r = table_uniforms(table, rng, shape)
+    got = table.draw(rows, r)
+    want = reference_poll_draw(table, rows, r)
+    assert got.shape == want.shape == shape
+    assert np.array_equal(got, want)
+
+
+class TestGuidedPath:
+    """Which search an array draw takes, and the binary-search fallback."""
+
+    @staticmethod
+    def searched(monkeypatch, table):
+        sizes = []
+        search = PollTable._search
+
+        def spy(self, rows, r):
+            sizes.append(np.size(r))
+            return search(self, rows, r)
+
+        monkeypatch.setattr(PollTable, "_search", spy)
+        return sizes
+
+    def test_narrow_batches_keep_the_binary_search(self, monkeypatch):
+        table = load_edge_list(bundled_network_path("karate")).poll_cdf()
+        rng = np.random.default_rng(1)
+
+        def check(widths):
+            for width in widths:
+                rows = rng.integers(0, table.shape[0], width)
+                r = rng.random(width)
+                assert np.array_equal(table.draw(rows, r), reference_poll_draw(table, rows, r))
+
+        check([1, GUIDED_BATCH - 1])
+        assert table._guide is None  # built on the first guided draw only
+        table.guide_table()
+        sizes = self.searched(monkeypatch, table)
+        check([1, GUIDED_BATCH - 1, GUIDED_BATCH])
+        assert sizes == [1, GUIDED_BATCH - 1]
+
+    def test_clustered_row_falls_back(self, monkeypatch):
+        # row 0 holds 0.5, twenty weights of 1e-12, then 0.5: the uniform
+        # 0.5 starts on the first entry and lands on the eleventh tiny one,
+        # more forward steps than a guided draw makes
+        P = np.zeros((2, 22))
+        P[0, 0] = P[0, 21] = 0.5
+        P[0, 1:21] = 1e-12
+        P[1, 0] = 1.0
+        P = np.vstack([row_normalize(P[:2]), np.eye(22)[2:]])
+        table = graph_from_P(P).poll_cdf()
+        table.guide_table()
+        sizes = self.searched(monkeypatch, table)
+        rows = np.zeros(GUIDED_BATCH, dtype=int)
+        rows[::2] = 1
+        r = np.full(GUIDED_BATCH, 0.5)
+        got = table.draw(rows, r)
+        assert np.array_equal(got, reference_poll_draw(table, rows, r))
+        assert sizes == [GUIDED_BATCH // 2]
+        assert set(got[1::2].tolist()) == {11}
+
+    def test_guide_buckets_start_inside_their_row(self):
+        graph, _ = ring_chords_instance(40, 6, 5, 3)
+        table = graph.poll_cdf()
+        assert table._guide is None
+        buckets, bucket0, guide = table.guide_table()
+        assert table.guide_table()[2] is guide
+        ptr = np.searchsorted(table.keys.real, np.arange(graph.node_count + 1))
+        for i in range(graph.node_count):
+            m = GUIDE_BUCKETS * (ptr[i + 1] - ptr[i])
+            assert buckets[i] == m
+            starts = guide[bucket0[i]:bucket0[i] + m]
+            assert starts[0] == ptr[i]
+            assert np.all((ptr[i] <= starts) & (starts < ptr[i + 1]))
+            for b, j in enumerate(starts.tolist()):
+                assert np.all(table.keys.imag[ptr[i]:j] <= (b - 1) / m)
+                assert table.keys.imag[j] > (b - 1) / m
+        assert bucket0[-1] + buckets[-1] == len(guide)
+
+    def test_largest_uniform_stays_in_the_last_bucket(self):
+        # r * m rounds below the integer m for every r < 1
+        m = np.arange(1.0, 2.0**16)
+        assert np.array_equal((TOP * m).astype(np.intp), np.arange(2**16 - 1))
 
 
 def test_table_is_built_once_and_lazily(karate_partition):
