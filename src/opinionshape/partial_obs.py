@@ -18,6 +18,7 @@ the full payoff, so the logged gap need not reach zero.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Container, Iterable
 from typing import NamedTuple
 
 import numpy as np
@@ -73,20 +74,46 @@ def relay_token(
 
     Terminal states are the observed set united with the stubborn set.
     Pass ``observed`` as a set when relaying many tokens: membership is
-    tested on every hop.  Each hop is the poll table's scalar draw, with
-    one uniform, on lists bound once per token.
+    tested on every hop.  This is the one-token call of ``_relay_tokens``.
     """
-    ptr, cum, cols = graph.poll_cdf().row_lists()
-    stubborn = partition.stubborn
-    cur = int(node)
-    hops = 0
-    while True:
-        cur = cols[bisect_right(cum, rng.random(), ptr[cur], ptr[cur + 1])]
-        hops += 1
-        if cur in observed or cur in stubborn:
-            return Token(int(node), cur, hops, stamp)
-        if hops > HOP_CAP:
-            raise NonAbsorbingError(f"token from node {node} exceeded {HOP_CAP} hops")
+    lists = graph.poll_cdf().row_lists()
+    terminals, hops = _relay_tokens(lists, observed, partition.stubborn, (node,), rng)
+    return Token(int(node), terminals[0], hops, stamp)
+
+
+def _relay_tokens(
+    lists: tuple[list[int], list[float], list[int]],
+    observed: Container[int],
+    stubborn: Container[int],
+    nodes: Iterable[int],
+    rng: np.random.Generator,
+) -> tuple[list[int], int]:
+    """Relay one token from each of ``nodes``, in order; returns the
+    terminals and the total hop count.
+
+    ``lists`` is the poll table's ``row_lists()``.  Each hop is the table's
+    scalar draw with one ``rng.random()``; a token stops on the first agent
+    in ``observed`` or ``stubborn``.  A run passes the union of the two as
+    ``observed``, built once, and an empty ``stubborn``.
+    """
+    ptr, cum, cols = lists
+    random = rng.random
+    cap = HOP_CAP
+    terminals = []
+    total = 0
+    for node in nodes:
+        cur = node
+        hops = 0
+        while True:
+            cur = cols[bisect_right(cum, random(), ptr[cur], ptr[cur + 1])]
+            hops += 1
+            if cur in observed or cur in stubborn:
+                break
+            if hops > cap:
+                raise NonAbsorbingError(f"token from node {node} exceeded {cap} hops")
+        terminals.append(cur)
+        total += hops
+    return terminals, total
 
 
 def probe(
@@ -171,7 +198,10 @@ def partial_fast_update(
     clocks: LocalClocks,
     schedule: StepSchedule,
 ) -> dict[int, float]:
-    """Relax one scalar toward its probe-event target; stubborn entries stay 0."""
+    """Relax one scalar toward its probe-event target; stubborn entries stay 0.
+
+    The one-event call of ``_relax_scalars``; returns a new dict.
+    """
     if node in partition.stubborn:
         return grad_vec
     new = dict(grad_vec)
@@ -179,10 +209,30 @@ def partial_fast_update(
     pos = partition.control_index().get(node)
     own = a * partition.w[node].deriv(float(u[pos])) if pos is not None else 0.0
     step = schedule.a(clocks.value(node))
-    target = own + (1.0 - a) * grad_vec[probed]
-    new[node] = grad_vec[node] + step * (target - grad_vec[node])
+    _relax_scalars(new, grad_vec, (node,), (probed,), (1.0 - a,), (own,), (step,))
     clocks.bump([node])
     return new
+
+
+def _relax_scalars(
+    grad_vec: dict[int, float],
+    snapshot: dict[int, float],
+    nodes: Iterable[int],
+    probed: Iterable[int],
+    survive: Iterable[float],
+    own_terms: Iterable[float],
+    steps: Iterable[float],
+) -> None:
+    """Fast updates against ``snapshot``, written into ``grad_vec``.
+
+    Node i moves to G_i + a_i * (c_i + (1 - alpha_i) G_probed - G_i), with
+    every G read from ``snapshot``; ``survive`` holds 1 - alpha_i and
+    ``own_terms`` holds c_i = alpha_i * w_i'(u_i) on controlled nodes, 0.0
+    elsewhere.
+    """
+    for node, hit, keep, own, step in zip(nodes, probed, survive, own_terms, steps):
+        old = snapshot[node]
+        grad_vec[node] = old + step * (own + keep * snapshot[hit] - old)
 
 
 def partial_slow_update(
@@ -220,31 +270,35 @@ def run_partial(
     if hidden is None:
         hidden = sample_hidden(partition, 1.0 - observed_fraction, seed)
     observed = observed_set(partition, hidden)
-    observed_lookup = frozenset(observed)
-    stubborn = set(partition.stubborn)
-    learners = [node for node in observed if node not in stubborn]
+    stops = frozenset(observed) | frozenset(partition.stubborn)
+    learners = [node for node in observed if node not in partition.stubborn]
+    learner_idx = np.array(learners, dtype=int)
+    alpha = partition.alpha.tolist()
+    survive = [1.0 - alpha[node] for node in learners]
     ctrl_index = partition.control_index()
+    # (row among the learners, control position, alpha) per controlled agent
+    owners = [(row, ctrl_index[node], alpha[node]) for row, node in enumerate(learners) if node in ctrl_index]
     n_ctrl = len(partition.controlled)
     u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
     grad_vec = {node: 0.0 for node in observed}
     clocks = LocalClocks.zeros(graph.node_count)
+    lists = graph.poll_cdf().row_lists()
 
     hop_totals = 0
 
     def tick(k, u):
         nonlocal hop_totals
         snapshot = dict(grad_vec)
-        steps = schedule.a(clocks.counts)
-        w_der = partition.w_derivs(u)
-        for node in learners:
-            token = relay_token(graph, partition, observed_lookup, node, rng, stamp=k)
-            hop_totals += token.hops
-            a = partition.alpha[node]
-            pos = ctrl_index.get(node)
-            own = a * w_der[pos] if pos is not None else 0.0
-            target = own + (1.0 - a) * snapshot[token.terminal]
-            grad_vec[node] = snapshot[node] + steps[node] * (target - snapshot[node])
-        clocks.bump(learners)
+        steps = schedule.a(clocks.counts[learner_idx]).tolist()
+        own_terms = [0.0] * len(learners)
+        if owners:
+            w_der = partition.w_derivs(u).tolist()
+            for row, pos, a in owners:
+                own_terms[row] = a * w_der[pos]
+        probed, hops = _relay_tokens(lists, stops, (), learners, rng)
+        hop_totals += hops
+        _relax_scalars(grad_vec, snapshot, learners, probed, survive, own_terms, steps)
+        clocks.bump(learner_idx)
         if n_ctrl:
             u = partial_slow_update(u, grad_vec, partition, k, schedule, budget)
         return u

@@ -241,17 +241,13 @@ def reference_walk_batch(
         cur = pos[idx]
 
         if scheme == 1:
-            absorbed = stubborn[cur]
-            alive[idx[absorbed]] = False
-            live = idx[~absorbed]
-            cur = pos[live]
-            coin = rng.random(len(live))
+            coin = rng.random(len(idx))
             killed = coin < alpha[cur]
-            hit = live[killed]
+            hit = idx[killed]
             cp = pos_of[pos[hit]]
             contrib[hit, cp] += 1.0
             alive[hit] = False
-            movers = live[~killed]
+            movers = idx[~killed]
         else:
             movers = idx
 
@@ -275,6 +271,8 @@ def reference_walk_batch(
             alive[mv[dead_weight]] = False
         else:
             pos[movers] = nxt
+            # absorbed on arrival, as in the kernel: the step count is the same
+            alive[movers[stubborn[nxt]]] = False
 
     return contrib
 

@@ -174,7 +174,8 @@ GOLDEN_SIMULATORS = {
 
 # the WIDE_N-node graph: each sas tick draws 304 polls in one array and
 # each sgd iteration starts 304 walks, so these pin the poll draws of wide
-# batches, which karate and the ring never make
+# batches, which karate and the ring never make; a partial tick relays one
+# token from each of about 160 observed learners
 GOLDEN_WIDE = {
     ('wide', 'sas'): {
         'sas_seed2.csv': 'c35882ba558923adc0f2ad8f67c1dcbf11e97afe612a2eed5a2af6af778a83ac',
@@ -191,10 +192,15 @@ GOLDEN_WIDE = {
         'sgd2_seed3.csv': '91ca2c9ee49369a1d1be74d1c89a0993e9254e483a95a95e5440205df60f6934',
         'sgd2_summary.csv': 'a58af15b196e64b99c750454e406f6604aaeca3fbabfabccabe05cd063c413b5',
     },
+    ('wide', 'partial'): {
+        'partial_seed2.csv': '2653f3d610563341307c50ffe2d214d33f684daf63a61c2a24724bb18c256336',
+        'partial_seed3.csv': '71856216d53bcc10486b8138cda923ea2874d62256e0ff4e115b670b874d76d1',
+        'partial_summary.csv': 'bf8b9a4983f250b6e135e6afe5a9264c2e68bdff55450a0fd077ac5322aefb8b',
+    },
 }
 
 
-@pytest.mark.parametrize("scheme", ["sas", "sgd1", "sgd2"])
+@pytest.mark.parametrize("scheme", ["sas", "sgd1", "sgd2", "partial"])
 def test_wide_batch_csv_bytes_match_golden_digests(tmp_path, scheme):
     assert run_short(tmp_path, "wide", scheme) == GOLDEN_WIDE["wide", scheme]
 

@@ -164,6 +164,12 @@ class TestStepSchedule:
         assert s.b(100) == pytest.approx(0.6)
         assert s.b(101) == pytest.approx(0.3)
 
+    @pytest.mark.parametrize("denom", [1, 7, 100, 999])
+    def test_slow_step_of_an_int_has_the_array_bits(self, denom):
+        s = StepSchedule(A=0.6, B=0.37, denom=denom)
+        ks = np.r_[np.arange(5_000), 2**40 + np.arange(5)]
+        assert [s.b(int(k)) for k in ks] == s.b(ks).tolist()
+
     def test_fast_step_nonincreasing(self):
         s = StepSchedule(A=0.6, B=0.6, denom=100)
         ks = np.arange(1_000_000)

@@ -3,9 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import opinionshape.partial_obs as partial_mod
 from opinionshape.curves import SaturatingCurve
+from opinionshape.errors import NonAbsorbingError
 from opinionshape.network import AgentPartition
-from opinionshape.optim import LocalClocks
+from opinionshape.optim import LocalClocks, StepSchedule
 from opinionshape.partial_obs import (
     Token,
     hit_law_oracle,
@@ -240,3 +242,43 @@ class TestRunPartial:
         )
         assert traj.extras["hidden"] == set()
         assert traj.rel_gap[-1] <= 0.02
+
+
+class TestHopCap:
+    """``HOP_CAP`` is a package error naming the token's start node, not an
+    ``assert``: this class also runs under ``python -O``."""
+
+    @staticmethod
+    def two_learner_chain(length):
+        # controlled 0 polls stubborn length + 1 directly; controlled 1
+        # starts a chain through hidden 2 .. length, so its token takes
+        # length hops
+        n = length + 2
+        P = np.zeros((n, n))
+        P[0, n - 1] = P[n - 1, n - 1] = 1.0
+        P[np.arange(1, n - 1), np.arange(2, n)] = 1.0
+        partition = AgentPartition(
+            controlled=(0, 1), uncontrolled=tuple(range(2, n - 1)), stubborn=(n - 1,),
+            alpha=np.r_[0.5, 0.5, np.zeros(n - 2)], h={n - 1: 1.0},
+            w={0: SaturatingCurve(), 1: SaturatingCurve()},
+        )
+        return graph_from_P(P), partition, set(range(2, n - 1))
+
+    def test_token_within_the_cap_lands(self, monkeypatch):
+        graph, partition, hidden = self.two_learner_chain(6)
+        monkeypatch.setattr(partial_mod, "HOP_CAP", 6)
+        traj = run_partial(graph, partition, 1.0, StepSchedule(), 2, seed=0, hidden=hidden)
+        assert traj.extras["mean_hops"] == (1 + 6) / 2
+        token = relay_token(graph, partition, (0, 1), 1, np.random.default_rng(0))
+        assert (token.terminal, token.hops) == (7, 6)
+
+    def test_cap_names_the_start_node(self, monkeypatch):
+        graph, partition, hidden = self.two_learner_chain(6)
+        monkeypatch.setattr(partial_mod, "HOP_CAP", 3)
+        message = "token from node 1 exceeded 3 hops"
+        with pytest.raises(NonAbsorbingError, match=message):
+            run_partial(graph, partition, 1.0, StepSchedule(), 2, seed=0, hidden=hidden)
+        with pytest.raises(NonAbsorbingError, match=message):
+            relay_token(graph, partition, (0, 1), 1, np.random.default_rng(0))
+        # the first learner's token is still within the cap
+        assert relay_token(graph, partition, (0, 1), 0, np.random.default_rng(0)).hops == 1

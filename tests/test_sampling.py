@@ -26,10 +26,12 @@ from opinionshape.network import (
     row_normalize,
 )
 from opinionshape.optim import run_exact_gd
-from opinionshape.partial_obs import relay_token
+from opinionshape.partial_obs import _relay_tokens, relay_token
 import opinionshape.sgd as sgd_mod
 from opinionshape.errors import NonAbsorbingError
 from opinionshape.sgd import NARROW_FRONT, _walk_batch
+
+import helpers
 
 from helpers import (
     graph_from_P,
@@ -60,27 +62,48 @@ def dense_draw(P: np.ndarray, row: int, r: float) -> int:
     return int(hit.argmax()) if hit.any() else int(np.flatnonzero(P[row])[-1])
 
 
+def table_uniforms(table: PollTable, rng: np.random.Generator, shape) -> np.ndarray:
+    """Arbitrary uniforms mixed with values on, just below and just above
+    stored cumulative weights, 0, and the largest double below 1."""
+    stored = table.keys.imag[table.keys.imag < 1.0]
+    near = np.concatenate([[0.0], stored, np.nextafter(stored, 0.0), np.nextafter(stored, 1.0)])
+    near = near[near < 1.0]
+    pick = rng.random(shape)
+    r = np.where(pick < 0.4, rng.choice(near, shape), rng.random(shape))
+    return np.where(pick > 0.9, TOP, r)
+
+
 @st.composite
 def poll_matrices(draw):
+    """Row-normalised matrices of 1 to 9 rows, filled from one seed: zero
+    arcs at a drawn share, weights log-uniform from 1e-9 to 1e9 or fractions
+    whose sums round, and one neighbour for each row left empty."""
     n = draw(st.integers(1, 9))
-    weight = st.one_of(st.just(0.0), st.floats(1e-9, 1e9), st.sampled_from([0.1, 1 / 3, 1 / 7, 0.3]))
-    adjacency = np.array(draw(st.lists(weight, min_size=n * n, max_size=n * n))).reshape(n, n)
+    zeros = draw(st.sampled_from([0.0, 0.4, 0.8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adjacency = np.where(
+        rng.random((n, n)) < 0.5,
+        10.0 ** rng.uniform(-9.0, 9.0, (n, n)),
+        rng.choice([0.1, 1 / 3, 1 / 7, 0.3], (n, n)),
+    )
+    adjacency[rng.random((n, n)) < zeros] = 0.0
     for i in np.flatnonzero(adjacency.sum(axis=1) == 0.0):
-        adjacency[i, draw(st.integers(0, n - 1))] = 1.0
+        adjacency[i, rng.integers(n)] = 1.0
     return row_normalize(adjacency)
 
 
-uniforms = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, TOP, 0.5, 1 / 3]))
-
-
 @settings(max_examples=300, deadline=None)
-@given(P=poll_matrices(), data=st.data())
-def test_draw_matches_dense_reference(P, data):
-    graph = graph_from_P(P)
-    n = graph.node_count
-    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20)))
-    r = np.array(data.draw(st.lists(uniforms, min_size=len(rows), max_size=len(rows))))
-    table = graph.poll_cdf()
+@given(
+    P=poll_matrices(),
+    # narrow arrays search, wide ones start from the guide table
+    size=st.one_of(st.integers(1, 20), st.integers(GUIDED_BATCH, 2 * GUIDED_BATCH)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_matches_dense_reference(P, size, seed):
+    table = graph_from_P(P).poll_cdf()
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, P.shape[0], size)
+    r = table_uniforms(table, rng, size)
     expected = [dense_draw(P, row, u) for row, u in zip(rows, r)]
     assert table.draw(rows, r).tolist() == expected
     assert [int(table.draw(int(row), float(u))) for row, u in zip(rows, r)] == expected
@@ -118,17 +141,6 @@ def clustered_poll_matrices(draw):
             adjacency[i, np.arange(n) != keep] = 0.0
             adjacency[i, keep] = 10.0 ** rng.uniform(-12.0, 0.0)
     return row_normalize(adjacency)
-
-
-def table_uniforms(table: PollTable, rng: np.random.Generator, shape) -> np.ndarray:
-    """Arbitrary uniforms mixed with values on, just below and just above
-    stored cumulative weights, 0, and the largest double below 1."""
-    stored = table.keys.imag[table.keys.imag < 1.0]
-    near = np.concatenate([[0.0], stored, np.nextafter(stored, 0.0), np.nextafter(stored, 1.0)])
-    near = near[near < 1.0]
-    pick = rng.random(shape)
-    r = np.where(pick < 0.4, rng.choice(near, shape), rng.random(shape))
-    return np.where(pick > 0.9, TOP, r)
 
 
 @settings(max_examples=300, deadline=None)
@@ -356,12 +368,16 @@ def test_step_cap_counts_steps_of_both_phases(monkeypatch, scheme, front):
     graph = graph_from_P(P)
     starts = np.array([length - 1] * NARROW_FRONT + [0])
     monkeypatch.setattr(sgd_mod, "NARROW_FRONT", front)
-    monkeypatch.setattr(sgd_mod, "WALK_STEP_CAP", length)
+    for module in (sgd_mod, helpers):
+        monkeypatch.setattr(module, "WALK_STEP_CAP", length)
     got = _walk_batch(graph, partition, starts, scheme, np.random.default_rng(0))
     assert got.shape == (len(starts), 0)
-    monkeypatch.setattr(sgd_mod, "WALK_STEP_CAP", length - 1)
-    with pytest.raises(NonAbsorbingError, match=f"walk from node 0 exceeded {length - 1} steps"):
-        _walk_batch(graph, partition, starts, scheme, np.random.default_rng(0))
+    assert np.array_equal(got, reference_walk_batch(graph, partition, starts, scheme, np.random.default_rng(0)))
+    for module in (sgd_mod, helpers):
+        monkeypatch.setattr(module, "WALK_STEP_CAP", length - 1)
+    for walk_batch in (_walk_batch, reference_walk_batch):
+        with pytest.raises(NonAbsorbingError, match=f"walk from node 0 exceeded {length - 1} steps"):
+            walk_batch(graph, partition, starts, scheme, np.random.default_rng(0))
 
 
 class TestRelayMatchesReference:
@@ -384,6 +400,27 @@ class TestRelayMatchesReference:
         want = [reference_relay_token(graph, partition, observed, v, ref_rng, stamp=k) for k, v in enumerate(nodes)]
         assert got == want
         assert rng.random() == ref_rng.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=sampler_instances(), data=st.data())
+    def test_batch_kernel_matches_one_token_calls(self, instance, data):
+        # any observed set, so stubborn agents may be hidden; the terminal
+        # states passed as relay_token passes them, then as run_partial does
+        graph, partition = instance
+        n = graph.node_count
+        observed = data.draw(st.frozensets(st.integers(0, n - 1)))
+        nodes = data.draw(st.lists(st.integers(0, n - 1), max_size=20))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        tokens = [relay_token(graph, partition, observed, v, rng) for v in nodes]
+        lists = graph.poll_cdf().row_lists()
+        stops = observed | frozenset(partition.stubborn)
+        for terminal_sets in ((observed, partition.stubborn), (stops, ())):
+            batch_rng = np.random.default_rng(seed)
+            terminals, hops = _relay_tokens(lists, *terminal_sets, nodes, batch_rng)
+            assert terminals == [token.terminal for token in tokens]
+            assert hops == sum(token.hops for token in tokens)
+            assert batch_rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestSharedLookups:
