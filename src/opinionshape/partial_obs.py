@@ -18,7 +18,8 @@ the full payoff, so the logged gap need not reach zero.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Container, Iterable
+from collections.abc import Iterable
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -74,46 +75,20 @@ def relay_token(
 
     Terminal states are the observed set united with the stubborn set.
     Pass ``observed`` as a set when relaying many tokens: membership is
-    tested on every hop.  This is the one-token call of ``_relay_tokens``.
+    tested on every hop.  Each hop is the poll table's scalar draw, with
+    one uniform, on lists bound once per token.
     """
-    lists = graph.poll_cdf().row_lists()
-    terminals, hops = _relay_tokens(lists, observed, partition.stubborn, (node,), rng)
-    return Token(int(node), terminals[0], hops, stamp)
-
-
-def _relay_tokens(
-    lists: tuple[list[int], list[float], list[int]],
-    observed: Container[int],
-    stubborn: Container[int],
-    nodes: Iterable[int],
-    rng: np.random.Generator,
-) -> tuple[list[int], int]:
-    """Relay one token from each of ``nodes``, in order; returns the
-    terminals and the total hop count.
-
-    ``lists`` is the poll table's ``row_lists()``.  Each hop is the table's
-    scalar draw with one ``rng.random()``; a token stops on the first agent
-    in ``observed`` or ``stubborn``.  A run passes the union of the two as
-    ``observed``, built once, and an empty ``stubborn``.
-    """
-    ptr, cum, cols = lists
-    random = rng.random
-    cap = HOP_CAP
-    terminals = []
-    total = 0
-    for node in nodes:
-        cur = node
-        hops = 0
-        while True:
-            cur = cols[bisect_right(cum, random(), ptr[cur], ptr[cur + 1])]
-            hops += 1
-            if cur in observed or cur in stubborn:
-                break
-            if hops > cap:
-                raise NonAbsorbingError(f"token from node {node} exceeded {cap} hops")
-        terminals.append(cur)
-        total += hops
-    return terminals, total
+    ptr, cum, cols = graph.poll_cdf().row_lists()
+    stubborn = partition.stubborn
+    cur = int(node)
+    hops = 0
+    while True:
+        cur = cols[bisect_right(cum, rng.random(), ptr[cur], ptr[cur + 1])]
+        hops += 1
+        if cur in observed or cur in stubborn:
+            return Token(int(node), cur, hops, stamp)
+        if hops > HOP_CAP:
+            raise NonAbsorbingError(f"token from node {node} exceeded {HOP_CAP} hops")
 
 
 def probe(
@@ -270,9 +245,8 @@ def run_partial(
     if hidden is None:
         hidden = sample_hidden(partition, 1.0 - observed_fraction, seed)
     observed = observed_set(partition, hidden)
-    stops = frozenset(observed) | frozenset(partition.stubborn)
+    observed_lookup = frozenset(observed)
     learners = [node for node in observed if node not in partition.stubborn]
-    learner_idx = np.array(learners, dtype=int)
     alpha = partition.alpha.tolist()
     survive = [1.0 - alpha[node] for node in learners]
     ctrl_index = partition.control_index()
@@ -281,24 +255,24 @@ def run_partial(
     n_ctrl = len(partition.controlled)
     u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
     grad_vec = {node: 0.0 for node in observed}
-    clocks = LocalClocks.zeros(graph.node_count)
-    lists = graph.poll_cdf().row_lists()
 
     hop_totals = 0
 
     def tick(k, u):
         nonlocal hop_totals
         snapshot = dict(grad_vec)
-        steps = schedule.a(clocks.counts[learner_idx]).tolist()
+        # every learner updates once per tick, so every local clock reads k
+        steps = repeat(schedule.a(k))
         own_terms = [0.0] * len(learners)
-        if owners:
-            w_der = partition.w_derivs(u).tolist()
-            for row, pos, a in owners:
-                own_terms[row] = a * w_der[pos]
-        probed, hops = _relay_tokens(lists, stops, (), learners, rng)
-        hop_totals += hops
+        w_der = partition.w_derivs(u).tolist()
+        for row, pos, a in owners:
+            own_terms[row] = a * w_der[pos]
+        probed = []
+        for node in learners:
+            token = relay_token(graph, partition, observed_lookup, node, rng, stamp=k)
+            probed.append(token.terminal)
+            hop_totals += token.hops
         _relax_scalars(grad_vec, snapshot, learners, probed, survive, own_terms, steps)
-        clocks.bump(learner_idx)
         if n_ctrl:
             u = partial_slow_update(u, grad_vec, partition, k, schedule, budget)
         return u

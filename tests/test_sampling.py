@@ -26,7 +26,7 @@ from opinionshape.network import (
     row_normalize,
 )
 from opinionshape.optim import run_exact_gd
-from opinionshape.partial_obs import _relay_tokens, relay_token
+from opinionshape.partial_obs import relay_token
 import opinionshape.sgd as sgd_mod
 from opinionshape.errors import NonAbsorbingError
 from opinionshape.sgd import NARROW_FRONT, _walk_batch
@@ -400,27 +400,6 @@ class TestRelayMatchesReference:
         want = [reference_relay_token(graph, partition, observed, v, ref_rng, stamp=k) for k, v in enumerate(nodes)]
         assert got == want
         assert rng.random() == ref_rng.random()
-
-    @settings(max_examples=150, deadline=None)
-    @given(instance=sampler_instances(), data=st.data())
-    def test_batch_kernel_matches_one_token_calls(self, instance, data):
-        # any observed set, so stubborn agents may be hidden; the terminal
-        # states passed as relay_token passes them, then as run_partial does
-        graph, partition = instance
-        n = graph.node_count
-        observed = data.draw(st.frozensets(st.integers(0, n - 1)))
-        nodes = data.draw(st.lists(st.integers(0, n - 1), max_size=20))
-        seed = data.draw(st.integers(0, 2**32 - 1))
-        rng = np.random.default_rng(seed)
-        tokens = [relay_token(graph, partition, observed, v, rng) for v in nodes]
-        lists = graph.poll_cdf().row_lists()
-        stops = observed | frozenset(partition.stubborn)
-        for terminal_sets in ((observed, partition.stubborn), (stops, ())):
-            batch_rng = np.random.default_rng(seed)
-            terminals, hops = _relay_tokens(lists, *terminal_sets, nodes, batch_rng)
-            assert terminals == [token.terminal for token in tokens]
-            assert hops == sum(token.hops for token in tokens)
-            assert batch_rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestSharedLookups:
