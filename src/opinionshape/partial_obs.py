@@ -255,14 +255,15 @@ def run_partial(
     n_ctrl = len(partition.controlled)
     u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
     grad_vec = {node: 0.0 for node in observed}
+    # every learner updates once per tick, so every local clock reads k
+    tick_steps = schedule.a(np.arange(n_iters)).tolist()
 
     hop_totals = 0
 
     def tick(k, u):
         nonlocal hop_totals
         snapshot = dict(grad_vec)
-        # every learner updates once per tick, so every local clock reads k
-        steps = repeat(schedule.a(k))
+        steps = repeat(tick_steps[k])
         own_terms = [0.0] * len(learners)
         w_der = partition.w_derivs(u).tolist()
         for row, pos, a in owners:
