@@ -97,7 +97,11 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentC
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        content = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable("config file", path, exc) from exc
+    for line_no, line in enumerate(content.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -116,6 +120,11 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentC
         raise ConfigError(str(exc)) from exc
     config.validate()
     return config
+
+
+def _unreadable(what: str, path: Path, exc: OSError | UnicodeDecodeError) -> ConfigError:
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
+    return ConfigError(f"cannot read {what} {path}: {reason}")
 
 
 def _coerce(key: str, raw: str, where: str):
@@ -160,7 +169,10 @@ def build_instance(config: ExperimentConfig) -> Instance:
             raise ConfigError(str(exc)) from exc
     if not path.exists():
         raise ConfigError(f"network file not found: {path}")
-    graph = load_edge_list(path, weighted=config.weighted, directed=config.directed)
+    try:
+        graph = load_edge_list(path, weighted=config.weighted, directed=config.directed)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable("network file", path, exc) from exc
     sizes = (config.s_size, config.s1_size, config.s0_size)
     if sum(sizes) != graph.node_count:
         raise ConfigError(

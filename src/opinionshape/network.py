@@ -403,7 +403,7 @@ def load_edge_list(
     """
     path = Path(path)
     raw: list[tuple[int, int, float]] = []
-    with path.open() as fh:
+    with path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

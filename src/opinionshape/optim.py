@@ -41,11 +41,19 @@ class StepSchedule:
 
     def b(self, k):
         if type(k) is int:
-            # the same IEEE operations without 0-d arrays, which cost ~10x
-            return float(self.B / max(math.ceil(k / self.denom), 1.0))
+            return slow_step(self.B, self.denom, k)
         k = np.asarray(k, dtype=float)
         out = self.B / np.maximum(np.ceil(k / self.denom), 1.0)
         return float(out) if out.ndim == 0 else out
+
+
+def slow_step(B: float, denom: int, k: int) -> float:
+    """``StepSchedule.b`` at one int k: B / ceil(k / denom), with b(0) = B.
+
+    The same IEEE operations as the array path, without 0-d arrays, which
+    cost about ten times as much.
+    """
+    return float(B / max(math.ceil(k / denom), 1.0))
 
 
 @dataclass

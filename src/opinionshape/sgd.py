@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import payoff_fn
 from .errors import NonAbsorbingError
 from .network import STUBBORN, AgentPartition, InteractionGraph
-from .optim import StepSchedule, Trajectory, project_budget_simplex, run_loop
+from .optim import Trajectory, project_budget_simplex, run_loop, slow_step
 
 WALK_STEP_CAP = 10_000_000
 # walks left live when the lockstep moves from numpy arrays to Python lists:
@@ -180,7 +180,7 @@ def sgd_step(
     The step sequence is a(k) = step_A / ceil(k / block), with a(0) = step_A:
     the slow schedule ``StepSchedule.b`` with B = step_A, denom = block.
     """
-    step = StepSchedule(B=step_A, denom=block).b(k)
+    step = slow_step(step_A, block, k)
     return project_budget_simplex(u + step * partition.w_derivs(u) * xi_colsums, budget)
 
 

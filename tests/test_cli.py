@@ -174,3 +174,31 @@ def test_overflowing_edge_weights_are_exit_2(tmp_path, capsys):
     )
     assert main(["run", "--config", str(cfg)]) == 2
     assert "node 0" in capsys.readouterr().err
+
+
+def test_network_directory_is_exit_2(tmp_path, capsys):
+    folder = tmp_path / "graph.edges"
+    folder.mkdir()
+    cfg = write_config(tmp_path, network=folder, out_dir=tmp_path / "out")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert str(folder) in capsys.readouterr().err
+
+
+def test_non_utf8_edge_list_is_exit_2(tmp_path, capsys):
+    edges = tmp_path / "latin1.edges"
+    edges.write_bytes(b"# caf\xe9\n0 1\n1 2\n")
+    cfg = write_config(tmp_path, network=edges, s_size=1, s1_size=1, s0_size=1, out_dir=tmp_path / "out")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert str(edges) in capsys.readouterr().err
+
+
+def test_non_utf8_config_is_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    cfg.write_bytes(cfg.read_bytes() + b"# r\xe9sum\xe9\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert str(cfg) in capsys.readouterr().err
+
+
+def test_config_directory_is_exit_2(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opinionshape.partial_obs as partial_mod
 from opinionshape.curves import SaturatingCurve
@@ -9,6 +11,8 @@ from opinionshape.errors import NonAbsorbingError
 from opinionshape.network import AgentPartition
 from opinionshape.optim import LocalClocks, StepSchedule
 from opinionshape.partial_obs import (
+    BLOCK,
+    BlockUniforms,
     Token,
     hit_law_oracle,
     observed_set,
@@ -244,6 +248,51 @@ class TestRunPartial:
         assert traj.rel_gap[-1] <= 0.02
 
 
+class TestBlockUniforms:
+    """``run_partial`` relays on a block-drawn source; it must be the
+    generator's own scalar stream."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), count=st.integers(0, 5 * BLOCK + 3))
+    def test_stream_is_the_scalar_stream(self, seed, count):
+        source, rng = BlockUniforms(np.random.default_rng(seed)), np.random.default_rng(seed)
+        got = np.array([source.random() for _ in range(count)])
+        want = np.array([rng.random() for _ in range(count)])
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def leaky_ring(size, leak):
+        # controlled 0 and 1 poll into a hidden ring; each ring hop leaks
+        # to 0, 1 or stubborn node size + 2 with probability 3 * leak, so a
+        # relay takes about 1 / (3 * leak) hops
+        n = size + 3
+        P = np.zeros((n, n))
+        P[0, 2] = P[1, 2 + size // 2] = P[n - 1, n - 1] = 1.0
+        ring = np.arange(2, n - 1)
+        P[ring, 2 + (ring - 1) % size] = P[ring, 2 + (ring - 3) % size] = 1.0
+        P[ring, 0] = P[ring, 1] = P[ring, n - 1] = leak
+        P /= P.sum(axis=1, keepdims=True)
+        partition = AgentPartition(
+            controlled=(0, 1), uncontrolled=tuple(range(2, n - 1)), stubborn=(n - 1,),
+            alpha=np.r_[0.5, 0.5, np.zeros(n - 2)], h={n - 1: 1.0},
+            w={0: SaturatingCurve(), 1: SaturatingCurve()},
+        )
+        return graph_from_P(P), partition
+
+    def test_relays_match_a_fresh_generator_across_blocks(self):
+        graph, partition = self.leaky_ring(40, 1e-3)
+        observed = frozenset({0, 1})
+        source, rng = BlockUniforms(np.random.default_rng(7)), np.random.default_rng(7)
+        starts = [0, 1] * 6
+        got = [relay_token(graph, partition, observed, v, source, k) for k, v in enumerate(starts)]
+        want = [relay_token(graph, partition, observed, v, rng, k) for k, v in enumerate(starts)]
+        assert got == want
+        hops = [token.hops for token in got]
+        assert max(hops) > BLOCK and sum(hops) > 4 * BLOCK
+        assert len({token.terminal for token in got}) > 1
+        assert source.random() == rng.random()
+
+
 class TestHopCap:
     """``HOP_CAP`` is a package error naming the token's start node, not an
     ``assert``: this class also runs under ``python -O``."""
@@ -282,3 +331,11 @@ class TestHopCap:
             relay_token(graph, partition, (0, 1), 1, np.random.default_rng(0))
         # the first learner's token is still within the cap
         assert relay_token(graph, partition, (0, 1), 0, np.random.default_rng(0)).hops == 1
+
+    def test_cap_names_the_start_node_on_block_uniforms(self, monkeypatch):
+        graph, partition, _ = self.two_learner_chain(6)
+        monkeypatch.setattr(partial_mod, "HOP_CAP", 3)
+        source = BlockUniforms(np.random.default_rng(0))
+        assert relay_token(graph, partition, (0, 1), 0, source).hops == 1
+        with pytest.raises(NonAbsorbingError, match="token from node 1 exceeded 3 hops"):
+            relay_token(graph, partition, (0, 1), 1, source)
