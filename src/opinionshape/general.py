@@ -27,7 +27,7 @@ from .dynamics import sample_poll_targets
 from .errors import InfeasibleError
 from .network import STUBBORN, AgentPartition, InteractionGraph
 from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, run_loop
-from .sas import _tick_fast_updates
+from .sas import _tick_fast_updates, owned_cells, poll_blocks
 
 NOISE_SEED_TAG = 0x5EED
 
@@ -243,13 +243,13 @@ def general_grad_update(
     if node in partition.stubborn:
         return grad_table
     new = grad_table.copy()
-    pos = int(partition.node_codes()[node])
+    pollers, polled = np.array([node]), np.array([probed])
+    own_rows, sel, own_cells = owned_cells(partition.node_codes(), pollers, new.shape[1])
     a, ad, w, wd = model.tables(partition, u)
-    diag = a[pos] * wd[pos] + ad[pos] * w[pos] - ad[pos] * values[probed] if pos >= 0 else 0.0
-    step = schedule.a(clocks.value(node))
+    driver = a[sel] * wd[sel] + ad[sel] * w[sel] - ad[sel] * values[polled[own_rows]]
     _tick_fast_updates(
-        new, np.array([node]), np.array([probed]), model.alpha_values(partition, u),
-        np.array([diag]), np.array([pos]), np.array([step]),
+        new, pollers, polled, (1.0 - model.alpha_values(partition, u)[pollers])[:, None],
+        own_cells, driver, schedule.a(clocks.value(node)),
     )
     clocks.bump([node])
     return new
@@ -351,34 +351,32 @@ def run_general_rl(
     u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
     values = _initial_values(partition)
     grad_table = np.zeros((n, n_ctrl))
-    clocks = LocalClocks.zeros(n)
     cdf = graph.poll_cdf()
 
+    # synchronous: every non-stubborn agent polls on every tick, so every
+    # local clock reads k
     codes = partition.node_codes()
-    non_stubborn = np.flatnonzero(codes != STUBBORN)
+    pollers = np.flatnonzero(codes != STUBBORN)
+    own_rows, sel, own_cells = owned_cells(codes, pollers, n_ctrl)
+    controlled = list(partition.controlled)
+    steps = schedule.a(np.arange(n_iters))
+    draws = poll_blocks(lambda rows: sample_poll_targets(cdf, rows, rng), pollers, n_iters)
 
     def tick(k, u):
-        pollers = non_stubborn
-        polled = sample_poll_targets(cdf, pollers, rng)
-
+        polled = next(draws)
         a, ad, w, wd = model.tables(partition, u)
         alpha_node = np.zeros(n)
-        alpha_node[list(partition.controlled)] = a
+        alpha_node[controlled] = a
 
-        steps = schedule.a(clocks.counts[pollers])
-        cp = codes[pollers]
-        owns = cp >= 0
-        diag = np.zeros(len(pollers))
+        driver = a[sel] * wd[sel] + ad[sel] * w[sel] - ad[sel] * values[polled[own_rows]]
         reward = np.zeros(len(pollers))
-        if owns.any() and n_ctrl:
-            sel = cp[owns]
-            diag[owns] = a[sel] * wd[sel] + ad[sel] * w[sel] - ad[sel] * values[polled[owns]]
-            reward[owns] = a[sel] * w[sel]
-        _tick_fast_updates(grad_table, pollers, polled, alpha_node, diag, cp, steps)
+        reward[own_rows] = a[sel] * w[sel]
+        _tick_fast_updates(
+            grad_table, pollers, polled, (1.0 - alpha_node[pollers])[:, None], own_cells, driver, steps[k]
+        )
         # value relaxation on the same events, reading pre-tick values
-        _value_relax(values, pollers, polled, alpha_node, reward, steps)
+        _value_relax(values, pollers, polled, alpha_node, reward, steps[k])
 
-        clocks.bump(pollers)
         if n_ctrl:
             u = annealed_slow_update(
                 u, grad_table.sum(axis=0), k, schedule, C, anneal_denom, budget, noise_rng

@@ -132,7 +132,7 @@ class PollTable:
     the rounded ``r * m`` stays below the integer m, so the bucket exists.  Queries still moving
     after ``GUIDE_PASSES`` steps (clustered weights) finish with the binary
     search.  The guide is built on the first guided draw, so samplers that
-    never make one (token relays, karate's narrow batches) never pay for it.
+    never make one (token relays, narrow walk fronts) never pay for it.
 
     Scalar draws bisect Python lists of the same table instead (see
     ``row_lists``): per draw that is cheaper than a numpy call.
@@ -243,6 +243,7 @@ class AgentPartition:
     h: dict[int, float]
     w: dict[int, Curve]
     _codes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _stubborn_set: frozenset[int] | None = field(default=None, init=False, repr=False, compare=False)
     _groups: tuple[tuple[Curve, np.ndarray], ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -290,6 +291,15 @@ class AgentPartition:
             codes.setflags(write=False)
             object.__setattr__(self, "_codes", codes)
         return codes
+
+    def stubborn_set(self) -> frozenset[int]:
+        """The stubborn nodes as a frozenset, built on the first call, for
+        membership tests on hot paths (``stubborn`` is a tuple)."""
+        members = self._stubborn_set
+        if members is None:
+            members = frozenset(self.stubborn)
+            object.__setattr__(self, "_stubborn_set", members)
+        return members
 
     def curve_groups(self) -> tuple[tuple[Curve, np.ndarray], ...]:
         """Controls grouped by reward-curve object, built on the first call.

@@ -109,7 +109,7 @@ def relay_token(
     Only ``random()`` without arguments is called, once per hop.
     """
     ptr, cum, cols = graph.poll_cdf().row_lists()
-    stubborn = partition.stubborn
+    stubborn = partition.stubborn_set()
     draw = rng.random
     start = cur = int(node)
     hops = 0

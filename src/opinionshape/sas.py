@@ -19,6 +19,8 @@ from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex
 
 # sanity ceiling on table entries: alpha_max * max w' / alpha_min, slack 10x
 BOUND_SLACK = 10.0
+# poll draws per block of synchronous ticks; a block holds at least one tick
+POLL_BLOCK = 4096
 
 
 def exact_grad_table(graph: InteractionGraph, partition: AgentPartition, u: np.ndarray) -> np.ndarray:
@@ -54,12 +56,12 @@ def sas_fast_update(
     if poller in partition.stubborn:
         return grad_table
     new = grad_table.copy()
-    pos = int(partition.node_codes()[poller])
-    diag = partition.alpha[poller] * partition.w[poller].deriv(float(u[pos])) if pos >= 0 else 0.0
-    step = schedule.a(clocks.value(poller))
+    pollers = np.array([poller])
+    own_rows, own_cols, own_cells = owned_cells(partition.node_codes(), pollers, new.shape[1])
+    driver = partition.alpha[pollers[own_rows]] * partition.w_derivs(u)[own_cols]
     _tick_fast_updates(
-        new, np.array([poller]), np.array([polled]), partition.alpha,
-        np.array([diag]), np.array([pos]), np.array([step]),
+        new, pollers, np.array([polled]), (1.0 - partition.alpha[pollers])[:, None],
+        own_cells, driver, schedule.a(clocks.value(poller)),
     )
     clocks.bump([poller])
     return new
@@ -80,25 +82,30 @@ def _tick_fast_updates(
     grad_table: np.ndarray,
     pollers: np.ndarray,
     polled: np.ndarray,
-    alpha: np.ndarray,
-    diag_driver: np.ndarray,
-    ctrl_pos: np.ndarray,
-    steps: np.ndarray,
+    damp: np.ndarray,
+    own_cells: np.ndarray,
+    driver: np.ndarray,
+    steps,
 ) -> np.ndarray:
     """Vectorized fast updates for one tick, reading pre-tick table values.
 
-    diag_driver[p] = alpha_i * w_i'(u_i) for the poller owning control p;
-    ctrl_pos maps poller order to the control column (or -1).  Row i moves
-    to G_i + a_i * ((1 - alpha_i) G_polled + driver - G_i), computed in
-    place on one gathered block, which is written back and returned.
+    damp is the column (1 - alpha_i) per poller.  own_cells are the flat
+    indices, in the pollers x controls block, of each owned control's cell
+    (see ``owned_cells``), and driver holds alpha_i * w_i'(u_i) for each.
+    steps is a(nu_i) as a column per poller, or one scalar when every clock
+    agrees.  Row i moves to G_i + a_i * ((1 - alpha_i) G_polled + driver -
+    G_i), computed in place on one gathered block, which is written back and
+    returned.  Synchronous runners build damp and the owned cells once per
+    run.
     """
-    rows = grad_table[pollers]
-    block = grad_table[polled]
-    block *= (1.0 - alpha[pollers])[:, None]
-    owns = ctrl_pos >= 0
-    block[owns, ctrl_pos[owns]] += diag_driver[owns]
+    # take copies rows without the fancy-indexing machinery; its fresh
+    # C-ordered result makes ravel() a view
+    rows = grad_table.take(pollers, axis=0)
+    block = grad_table.take(polled, axis=0)
+    block *= damp
+    block.ravel()[own_cells] += driver
     block -= rows
-    block *= steps[:, None]
+    block *= steps
     block += rows
     grad_table[pollers] = block
     return block
@@ -120,50 +127,100 @@ def run_sas(
 
     Each tick draws the active set, samples one poll per active non-stubborn
     agent, applies all fast updates against the pre-tick table, then takes
-    one slow control step.  With freeze_u the controls stay at u0, which
-    isolates the fast recursion.
+    one slow control step.  A synchronous run draws its polls a block of
+    ticks at a time (``poll_blocks``).  With freeze_u the controls stay at
+    u0, which isolates the fast recursion.
     """
     rng = np.random.default_rng(seed)
     n = graph.node_count
     n_ctrl = len(partition.controlled)
     u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
     grad_table = np.zeros((n, n_ctrl))
-    clocks = LocalClocks.zeros(n)
     cdf = graph.poll_cdf()
 
     codes = partition.node_codes()
     free = codes != STUBBORN
-    non_stubborn = np.flatnonzero(free)
     alpha = partition.alpha
-
     bound = _table_bound(partition)
 
-    def tick(k, u):
-        if activation.mode == "synchronous":
-            pollers = non_stubborn
-        else:
-            active = rng.random(n) < activation.q
-            pollers = np.flatnonzero(active & free)
-        polled = sample_poll_targets(cdf, pollers, rng)
-        diag = np.zeros(len(pollers))
-        cp = codes[pollers]
-        owns = cp >= 0
-        if owns.any():
-            w_der = partition.w_derivs(u)
-            diag[owns] = alpha[pollers[owns]] * w_der[cp[owns]]
-        steps = schedule.a(clocks.counts[pollers])
-        updated = _tick_fast_updates(grad_table, pollers, polled, alpha, diag, cp, steps)
-        clocks.bump(pollers)
+    def driver_at(own_alpha, own_cols, u):
+        # w'(u) only when some poller owns a control
+        return own_alpha * partition.w_derivs(u)[own_cols] if len(own_cols) else own_alpha
+
+    def finish(k, u, updated):
         if not freeze_u and n_ctrl:
             u = sas_slow_update(u, grad_table, k, schedule, budget)
         # rows left alone this tick passed on an earlier one
-        if not np.max(np.abs(updated), initial=0.0) <= bound:
+        if not np.maximum.reduce(np.abs(updated), axis=None, initial=0.0) <= bound:
             raise DivergenceError(f"sensitivity table left its sanity bound {bound:.3g} at tick {k + 1}")
         return u
 
+    clocks = np.zeros(n, dtype=np.int64)
+    if activation.mode == "synchronous":
+        # every non-stubborn agent polls on every tick, so every local clock
+        # reads k and the poll events do not depend on the learner
+        pollers = np.flatnonzero(free)
+        damp = (1.0 - alpha[pollers])[:, None]
+        own_rows, own_cols, own_cells = owned_cells(codes, pollers, n_ctrl)
+        own_alpha = alpha[pollers[own_rows]]
+        frozen = driver_at(own_alpha, own_cols, u) if freeze_u else None
+        steps = schedule.a(np.arange(n_iters))
+        draws = poll_blocks(lambda rows: sample_poll_targets(cdf, rows, rng), pollers, n_iters)
+
+        def tick(k, u):
+            driver = driver_at(own_alpha, own_cols, u) if frozen is None else frozen
+            updated = _tick_fast_updates(
+                grad_table, pollers, next(draws), damp, own_cells, driver, steps[k]
+            )
+            return finish(k, u, updated)
+
+    else:
+        local = LocalClocks(clocks)
+
+        def tick(k, u):
+            pollers = np.flatnonzero((rng.random(n) < activation.q) & free)
+            polled = sample_poll_targets(cdf, pollers, rng)
+            own_rows, own_cols, own_cells = owned_cells(codes, pollers, n_ctrl)
+            driver = driver_at(alpha[pollers[own_rows]], own_cols, u)
+            steps = schedule.a(local.counts[pollers])[:, None]
+            updated = _tick_fast_updates(
+                grad_table, pollers, polled, (1.0 - alpha[pollers])[:, None], own_cells, driver, steps
+            )
+            local.bump(pollers)
+            return finish(k, u, updated)
+
     traj = run_loop("sas", u, n_iters, tick, payoff_fn(graph, partition), payoff_star)
-    traj.extras = {"grad_table": grad_table, "clocks": clocks.counts.copy()}
+    if activation.mode == "synchronous":
+        clocks[pollers] = n_iters
+    traj.extras = {"grad_table": grad_table, "clocks": clocks}
     return traj
+
+
+def owned_cells(codes: np.ndarray, pollers: np.ndarray, n_ctrl: int) -> tuple[np.ndarray, ...]:
+    """For the pollers that own a control: their positions in poller
+    order, the control columns they own, and the flat index of each such
+    (position, column) cell in a pollers x controls block."""
+    cp = codes[pollers]
+    rows = np.flatnonzero(cp >= 0)
+    cols = cp[rows]
+    return rows, cols, rows * n_ctrl + cols
+
+
+def poll_blocks(draw, pollers: np.ndarray, n_iters: int):
+    """Yield each tick's poll targets in a synchronous run of n_iters
+    ticks, drawn ``POLL_BLOCK`` draws (at least one tick) at a time.
+
+    ``draw(rows)`` is the runner's ``sample_poll_targets`` call, made once
+    per block on the pollers tiled over the block's ticks.  PCG64's
+    ``random(t * m)`` yields the doubles of t ``random(m)`` calls, so as
+    long as the run's generator feeds only the polls, the targets are those
+    of one draw per tick.  The last block stops at the run's last tick.
+    """
+    m = len(pollers)
+    per_block = max(1, POLL_BLOCK // max(m, 1))
+    for k in range(0, n_iters, per_block):
+        t = min(per_block, n_iters - k)
+        yield from draw(np.tile(pollers, t)).reshape(t, m)
 
 
 def _table_bound(partition: AgentPartition) -> float:

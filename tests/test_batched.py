@@ -184,6 +184,16 @@ def tick_cases(draw):
     return table, pollers, polled, alpha, diag, ctrl_pos, steps
 
 
+def kernel_args(table, pollers, polled, alpha, diag, ctrl_pos, steps):
+    """The previous kernel's arguments in the form ``_tick_fast_updates``
+    takes: the damping column, the owned cells of the pollers x controls
+    block with their drivers, and the steps as a column."""
+    own_rows = np.flatnonzero(ctrl_pos >= 0)
+    damp = (1.0 - alpha[pollers])[:, None]
+    cells = own_rows * table.shape[1] + ctrl_pos[own_rows]
+    return pollers, polled, damp, cells, diag[own_rows], steps[:, None]
+
+
 class TestTickKernel:
     @settings(max_examples=300, deadline=None)
     @given(case=tick_cases())
@@ -192,9 +202,19 @@ class TestTickKernel:
         want = table.copy()
         reference_tick_fast_updates(want, *args)
         got = table.copy()
-        block = _tick_fast_updates(got, *args)
+        block = _tick_fast_updates(got, *kernel_args(table, *args))
         assert got.tobytes() == want.tobytes()
         assert block.tobytes() == want[args[0]].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=tick_cases(), step=st.floats(0.0, 1.0))
+    def test_one_scalar_step_is_the_column_of_equal_steps(self, case, step):
+        table, pollers, polled, alpha, diag, ctrl_pos, _ = case
+        args = kernel_args(table, pollers, polled, alpha, diag, ctrl_pos, np.full(len(pollers), step))
+        want, got = table.copy(), table.copy()
+        _tick_fast_updates(want, *args)
+        _tick_fast_updates(got, *args[:-1], step)
+        assert got.tobytes() == want.tobytes()
 
     def test_one_event_is_the_one_row_kernel(self, karate_graph, karate_partition, schedule):
         rng = np.random.default_rng(3)

@@ -22,6 +22,7 @@ import pytest
 from opinionshape.dynamics import empirical_opinion_stats, gossip_step, initial_state
 from opinionshape.harness import build_instance, parse_config, run_experiment
 from opinionshape.network import ActivationModel
+from opinionshape.sas import run_sas
 from opinionshape.sgd import run_sgd, sample_killed_walk, sample_weighted_walk
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "karate_sas.cfg"
@@ -304,3 +305,19 @@ def test_one_row_walks_match_golden_digests(karate_graph, karate_partition):
         rows = [sample(karate_graph, karate_partition, start, rng) for start in free for _ in range(20)]
         got[name] = digest(rows, rng.random())
     assert got == GOLDEN_ONE_WALK
+
+
+# asynchronous sas keeps its per-tick draws and local clocks: karate with
+# every agent active with probability 0.3, 200 ticks
+GOLDEN_ASYNC_SAS = {
+    0: '1f1c1ca73d454f60ce9666c7cff79b6a6b9736e31b0704ff9175a6503a73cc81',
+    1: 'b0136028fe2e8341c0c11640864866df9b86ba84faa2c1558e41e3ace614c36b',
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_ASYNC_SAS))
+def test_asynchronous_sas_matches_golden_digests(karate_graph, karate_partition, schedule, budget, seed):
+    activation = ActivationModel("asynchronous", q=np.full(karate_graph.node_count, 0.3))
+    traj = run_sas(karate_graph, karate_partition, budget, schedule, activation, 200, seed)
+    got = digest(traj.u, traj.payoff, traj.extras["grad_table"], traj.extras["clocks"])
+    assert got == GOLDEN_ASYNC_SAS[seed]

@@ -212,6 +212,52 @@ class TestStepSchedule:
         assert powers[len(n) // 2 :].sum() < 0.01 * powers.sum()
 
 
+# a(k) of every tick a synchronous run of this many ticks takes
+PREMISE_TICKS = 300_000
+PREMISE_SCHEDULES = [StepSchedule(), StepSchedule(A=0.3, denom=7)]
+
+
+@pytest.fixture(scope="module")
+def arange_steps():
+    return [s.a(np.arange(PREMISE_TICKS)) for s in PREMISE_SCHEDULES]
+
+
+class TestStepArrayPremise:
+    """Synchronous runners take every tick's a(k) from one
+    ``a(np.arange(n_iters))`` call.  The per-tick path they replace called
+    ``a`` on the m pollers' clocks, all equal to k, so both must give the
+    same bits for every k, whatever m.  (``==`` on positive finite floats
+    is a bitwise comparison.)"""
+
+    @pytest.mark.parametrize("width", [1, 3, 31, 980])
+    @pytest.mark.parametrize("which", range(len(PREMISE_SCHEDULES)))
+    def test_arange_matches_per_tick_arrays_for_every_k(self, arange_steps, which, width):
+        schedule, want = PREMISE_SCHEDULES[which], arange_steps[which]
+        chunk = max(1, 200_000 // width)
+        for start in range(0, PREMISE_TICKS, chunk):
+            ks = np.arange(start, min(start + chunk, PREMISE_TICKS))
+            # a padded view keeps numpy from fusing the rows into one loop,
+            # so its inner loops run one width-m row at a time
+            padded = np.empty((len(ks), width + 1))
+            rows = padded[:, :width]
+            rows[...] = ks[:, None]
+            assert (schedule.a(rows) == want[ks, None]).all()
+
+    @pytest.mark.parametrize("which", range(len(PREMISE_SCHEDULES)))
+    def test_arange_matches_per_tick_and_scalar_calls_at_a_stride(self, arange_steps, which):
+        schedule, want = PREMISE_SCHEDULES[which], arange_steps[which]
+        for k in range(0, PREMISE_TICKS, 211):
+            for width in (1, 3, 31, 980):
+                assert (schedule.a(np.repeat(k, width)) == want[k]).all()
+            assert schedule.a(k) == want[k]
+
+    @pytest.mark.parametrize("which", range(len(PREMISE_SCHEDULES)))
+    def test_a_shorter_run_reads_a_prefix(self, arange_steps, which):
+        schedule, want = PREMISE_SCHEDULES[which], arange_steps[which]
+        for n in (1, 7, 100, 10_000, PREMISE_TICKS - 1):
+            assert (schedule.a(np.arange(n)) == want[:n]).all()
+
+
 class TestExactGradient:
     def test_single_agent_identity_curve(self):
         graph, partition = single_agent_instance(1.0, LinearCurve(1.0))

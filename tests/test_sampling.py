@@ -423,6 +423,18 @@ class TestSharedLookups:
         assert not codes.flags.writeable
         assert not pickle.loads(pickle.dumps(karate_partition)).node_codes().flags.writeable
 
+    def test_stubborn_set(self, karate_partition):
+        members = karate_partition.stubborn_set()
+        assert karate_partition.stubborn_set() is members
+        assert isinstance(members, frozenset)
+        assert members == set(karate_partition.stubborn)
+        assert pickle.loads(pickle.dumps(karate_partition)).stubborn_set() == members
+        moved = replace(
+            karate_partition, stubborn=(), h={},
+            uncontrolled=karate_partition.uncontrolled + karate_partition.stubborn,
+        )
+        assert moved.stubborn_set() == frozenset()
+
     def test_replaced_partition_gets_its_own_codes(self, karate_partition):
         karate_partition.node_codes()
         moved = replace(

@@ -3,12 +3,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from opinionshape import sas
 from opinionshape.curves import ConstantCurve, SaturatingCurve
+from opinionshape.general import run_general_rl, study_model
+from opinionshape.harness import build_instance
 from opinionshape.network import ActivationModel, AgentPartition, substochastic_matrix
 from opinionshape.optim import LocalClocks, exact_gradient, project_budget_simplex
 from opinionshape.sas import exact_grad_table, run_sas, sas_fast_update, sas_slow_update
 
 from helpers import chain_instance, graph_from_P, single_agent_instance
+from test_golden import short_config
 
 SYNC = ActivationModel("synchronous")
 
@@ -205,3 +209,39 @@ class TestDegenerateAlphaVariants:
         traj = run_sas(graph, partition, budget, schedule, SYNC, n_iters=100, seed=0)
         assert np.all(traj.extras["grad_table"] == 0.0)
         assert np.all(traj.u == 0.0)
+
+
+class TestPollBlocks:
+    """Synchronous runs draw their poll targets ``POLL_BLOCK`` draws at a
+    time; where the blocks end must not show in any output."""
+
+    @staticmethod
+    def outputs(built, scheme, n_iters=320, seed=4):
+        graph, partition, schedule = built.graph, built.partition, built.schedule
+        if scheme == "sas":
+            traj = run_sas(graph, partition, 5.0, schedule, SYNC, n_iters, seed)
+            extras = (traj.extras["grad_table"], traj.extras["clocks"])
+        else:
+            model = study_model(partition, seed, SaturatingCurve())
+            traj = run_general_rl(graph, partition, model, 5.0, schedule, n_iters, seed)
+            extras = (traj.extras["grad_table"], traj.extras["values"])
+        return [a.tobytes() for a in (traj.u, traj.payoff, *extras)]
+
+    @pytest.mark.parametrize("scheme", ["sas", "general-rl"])
+    @pytest.mark.parametrize("instance", ["karate", "ring"])
+    def test_block_length_does_not_move_any_output(self, monkeypatch, tmp_path, instance, scheme):
+        built = build_instance(short_config(tmp_path, instance, "sas"))
+        pollers = built.graph.node_count - len(built.partition.stubborn)
+        assert sas.POLL_BLOCK // pollers not in (1, 7)
+        default = self.outputs(built, scheme)
+        # one tick per block, then 7 ticks: a prime, so most blocks end
+        # where the default's do not
+        for ticks in (1, 7):
+            monkeypatch.setattr(sas, "POLL_BLOCK", ticks * pollers)
+            assert self.outputs(built, scheme) == default
+
+    def test_synchronous_clocks_count_every_tick(self, karate_graph, karate_partition, schedule, budget):
+        traj = run_sas(karate_graph, karate_partition, budget, schedule, SYNC, n_iters=37, seed=0)
+        clocks = traj.extras["clocks"]
+        assert clocks.dtype == np.int64
+        assert clocks.tolist() == [0 if i in karate_partition.stubborn else 37 for i in range(34)]
