@@ -3,7 +3,8 @@
 A curve maps a nonnegative control level into [0, 1] and carries its own
 derivative; every gradient-based scheme in the package consumes the pair.
 The built-in curves also evaluate a float array in one call
-(``values``/``derivs``), with the same bits as their scalar methods.
+(``values``/``derivs``), with the same bits as their scalar methods;
+``values`` takes an array of any shape, a stack of control rows included.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class ConstantCurve:
         return 0.0
 
     def values(self, xs: np.ndarray) -> np.ndarray:
-        return np.full(len(xs), self.level, dtype=float)
+        return np.full(np.shape(xs), self.level, dtype=float)
 
     def derivs(self, xs: np.ndarray) -> np.ndarray:
         return np.zeros(len(xs))

@@ -128,19 +128,26 @@ def payoff_coefficients(graph: InteractionGraph, partition: AgentPartition) -> n
     return graph.payoff_adjoint(partition)
 
 
-def payoff_fn(graph: InteractionGraph, partition: AgentPartition) -> Callable[[np.ndarray], float]:
-    """Fast closure for the total payoff, for per-iteration logging in runners.
+def payoff_fn(graph: InteractionGraph, partition: AgentPartition) -> Callable[[np.ndarray], float | np.ndarray]:
+    """Fast closure for the total payoff, for the trajectory record of runners.
 
     The system matrix does not depend on u, so the payoff reduces to a dot
-    product with precomputed coefficients.
+    product with precomputed coefficients.  The closure takes one control
+    vector (a float back) or a stack of them, one per row (an array back,
+    bit for bit the payoff of each row: one ``w_values`` call on the stack,
+    then the same dot product per row).
     """
     coef = payoff_coefficients(graph, partition)
     base = sum(coef[i] * partition.h[i] for i in partition.stubborn)
     idx = list(partition.controlled)
     c_ctrl = coef[idx] * partition.alpha[idx]
 
-    def payoff(u: np.ndarray) -> float:
-        if len(idx) == 0:
+    def payoff(u: np.ndarray) -> float | np.ndarray:
+        if np.ndim(u) == 2:
+            if not idx:
+                return np.full(len(u), float(base))
+            return base + np.array([c_ctrl @ row for row in partition.w_values(u)])
+        if not idx:
             return float(base)
         return float(base + c_ctrl @ partition.w_values(u))
 

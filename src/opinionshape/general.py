@@ -385,7 +385,7 @@ def run_general_rl(
 
     traj = run_loop(
         "general-rl", u, n_iters, tick,
-        lambda u: general_payoff(graph, partition, model, u), payoff_star,
+        lambda us: [general_payoff(graph, partition, model, u) for u in us], payoff_star,
     )
     traj.extras = {"values": values.copy(), "grad_table": grad_table.copy()}
     return traj
@@ -426,7 +426,7 @@ def run_general_knownp(
 
     traj = run_loop(
         "general-knownp", u, n_iters, tick,
-        lambda u: general_payoff(graph, partition, model, u), payoff_star,
+        lambda us: [general_payoff(graph, partition, model, u) for u in us], payoff_star,
     )
     traj.extras = {"values": values.copy(), "grad_table": grad_table.copy()}
     return traj

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -69,8 +70,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be finite and positive")
         if not (math.isfinite(self.anneal_c) and self.anneal_c >= 0):
             raise ConfigError("anneal_c must be finite and nonnegative")
-        if self.denom < 1:
-            raise ConfigError("denom must be at least 1")
+        if not 1 <= self.denom <= sys.float_info.max:
+            raise ConfigError("denom must be at least 1 and at most the largest float")
         for key in ("sgd_block", "anneal_denom"):
             value = getattr(self, key)
             if value is not None and value < 1:
@@ -100,7 +101,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentC
     try:
         content = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise _unreadable("config file", path, exc) from exc
+        raise _io_failure("read", "config file", path, exc) from exc
     for line_no, line in enumerate(content.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -122,9 +123,9 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentC
     return config
 
 
-def _unreadable(what: str, path: Path, exc: OSError | UnicodeDecodeError) -> ConfigError:
+def _io_failure(verb: str, what: str, path: Path, exc: OSError | UnicodeDecodeError) -> ConfigError:
     reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
-    return ConfigError(f"cannot read {what} {path}: {reason}")
+    return ConfigError(f"cannot {verb} {what} {path}: {reason}")
 
 
 def _coerce(key: str, raw: str, where: str):
@@ -172,7 +173,7 @@ def build_instance(config: ExperimentConfig) -> Instance:
     try:
         graph = load_edge_list(path, weighted=config.weighted, directed=config.directed)
     except (OSError, UnicodeDecodeError) as exc:
-        raise _unreadable("network file", path, exc) from exc
+        raise _io_failure("read", "network file", path, exc) from exc
     sizes = (config.s_size, config.s1_size, config.s0_size)
     if sum(sizes) != graph.node_count:
         raise ConfigError(
@@ -242,23 +243,13 @@ def run_scheme(config: ExperimentConfig, instance: Instance, run_seed: int) -> T
     raise ConfigError(f"unknown scheme {config.scheme!r}")
 
 
-def _format(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_run_csv(path: Path, traj: Trajectory) -> None:
-    n_ctrl = traj.u.shape[1] if traj.u.ndim == 2 else 0
+    """One row per iteration: k, the controls, payoff and rel_gap (nan if unset)."""
+    n_ctrl = traj.u.shape[1]
     header = ["k"] + [f"u_{j + 1}" for j in range(n_ctrl)] + ["payoff", "rel_gap"]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row, k in enumerate(traj.ks):
-            gap = traj.rel_gap[row] if traj.rel_gap is not None else float("nan")
-            writer.writerow(
-                [str(int(k))]
-                + [_format(v) for v in np.atleast_1d(traj.u[row])]
-                + [_format(traj.payoff[row]), _format(gap)]
-            )
+    gaps = traj.rel_gap if traj.rel_gap is not None else np.full(len(traj.ks), np.nan)
+    columns = [traj.ks.tolist(), *traj.u.T.tolist(), traj.payoff.tolist(), gaps.tolist()]
+    _write_rows(path, header, columns)
 
 
 def read_run_csv(path: Path) -> dict[str, np.ndarray]:
@@ -273,11 +264,21 @@ def read_run_csv(path: Path) -> dict[str, np.ndarray]:
 def write_summary_csv(path: Path, ks: np.ndarray, gaps: np.ndarray) -> None:
     """Per-iteration quartiles of the relative gap across runs (rows = runs)."""
     q1, med, q3 = np.percentile(gaps, [25, 50, 75], axis=0)
+    columns = [np.asarray(ks).tolist(), med.tolist(), q1.tolist(), q3.tolist()]
+    _write_rows(path, ["k", "gap_median", "gap_q1", "gap_q3"], columns)
+
+
+def _write_rows(path: Path, header: list[str], columns: list[list]) -> None:
+    """Write the header, then one row per entry of the zipped columns, in one go.
+
+    The bytes of ``csv.writer`` on these fields: rows end in CRLF, the
+    first column is ``%d`` and every other one ``%.17g``, and no field
+    needs quoting.
+    """
+    row = "%d" + ",%.17g" * (len(columns) - 1) + "\r\n"
+    body = "".join([row % fields for fields in zip(*columns)])
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "gap_median", "gap_q1", "gap_q3"])
-        for i, k in enumerate(ks):
-            writer.writerow([str(int(k)), _format(med[i]), _format(q1[i]), _format(q3[i])])
+        fh.write(",".join(header) + "\r\n" + body)
 
 
 def _worker(args) -> tuple[int, Trajectory]:
@@ -310,12 +311,18 @@ def run_experiment(config: ExperimentConfig) -> dict:
     run_paths = []
     for s, traj in zip(seeds, trajectories):
         path = out_dir / f"{config.scheme}_seed{s}.csv"
-        write_run_csv(path, traj)
+        try:
+            write_run_csv(path, traj)
+        except OSError as exc:
+            raise _io_failure("write", "run CSV", path, exc) from exc
         run_paths.append(path)
 
     summary_path = out_dir / f"{config.scheme}_summary.csv"
     gaps = np.array([t.rel_gap for t in trajectories])
-    write_summary_csv(summary_path, trajectories[0].ks, gaps)
+    try:
+        write_summary_csv(summary_path, trajectories[0].ks, gaps)
+    except OSError as exc:
+        raise _io_failure("write", "summary CSV", summary_path, exc) from exc
     return {
         "runs": run_paths,
         "summary": summary_path,

@@ -343,14 +343,22 @@ class AgentPartition:
         if len(groups) == 1 and hasattr(groups[0][0], batch):
             # one curve covers every control: no gather, no scatter
             return getattr(groups[0][0], batch)(u)
-        out = np.empty(len(self.controlled))
+        if u.ndim == 2:
+            # a stack of control rows: gather and scatter its columns
+            # through the transposes; u[..., positions] would cost the
+            # one-vector path every tick takes five times u[positions]
+            out = np.empty((len(u), len(self.controlled)))
+            cols, out_cols = u.T, out.T
+        else:
+            out = out_cols = np.empty(len(self.controlled))
+            cols = u
         for curve, positions in groups:
-            xs = u[positions]
+            xs = cols[positions]
             if hasattr(curve, batch):
-                out[positions] = getattr(curve, batch)(xs)
+                out_cols[positions] = getattr(curve, batch)(xs)
             else:
                 f = getattr(curve, point)
-                out[positions] = [f(x) for x in xs.tolist()]
+                out_cols[positions] = np.reshape([f(x) for x in xs.ravel().tolist()], xs.shape)
         return out
 
 

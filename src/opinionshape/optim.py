@@ -145,24 +145,26 @@ def run_loop(
 ) -> Trajectory:
     """The outer loop every runner shares: n_iters calls u = tick(k, u).
 
-    Records the initial point, then each tick's u and payoff(u), and the
-    wall time of each tick (payoff recording excluded) as ``iter_seconds``.
-    With payoff_star the trajectory also carries the relative gap.
+    Records the initial point, then each tick's u, and the wall time of
+    each tick as ``iter_seconds``.  The payoff column comes from one
+    ``payoff(us)`` call on the stacked controls after the loop, so
+    ``payoff`` takes a stack with one control vector per row and returns
+    one payoff per row.  With payoff_star the trajectory also carries the
+    relative gap.
     """
     us = [u.copy()]
-    pays = [payoff(u)]
     times = []
     for k in range(n_iters):
         t0 = time.perf_counter()
         u = tick(k, u)
         times.append(time.perf_counter() - t0)
         us.append(u.copy())
-        pays.append(payoff(u))
-    pays = np.array(pays)
+    us = np.array(us)
+    pays = np.asarray(payoff(us), dtype=float)
     return Trajectory(
         scheme=scheme,
         ks=np.arange(n_iters + 1),
-        u=np.array(us),
+        u=us,
         payoff=pays,
         rel_gap=None if payoff_star is None else (payoff_star - pays) / payoff_star,
         iter_seconds=np.array(times),

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -12,7 +14,7 @@ from opinionshape.dynamics import payoff_coefficients, payoff_fn
 from opinionshape.errors import DivergenceError, NonAbsorbingError
 from opinionshape.general import GeneralModel
 from opinionshape.network import AgentPartition, InteractionGraph, PollTable, random_partition
-from opinionshape.optim import LocalClocks, StepSchedule
+from opinionshape.optim import LocalClocks, StepSchedule, Trajectory
 from opinionshape.partial_obs import HOP_CAP, Token
 from opinionshape.sgd import WALK_STEP_CAP
 
@@ -493,3 +495,35 @@ class DerivCounter:
             return deriv(curve, x)
 
         return counted
+
+
+def _format(x: float) -> str:
+    return f"{float(x):.17g}"
+
+
+def reference_write_run_csv(path: Path, traj: Trajectory) -> None:
+    """``harness.write_run_csv`` on ``csv.writer``, the oracle for the
+    one-string writer."""
+    n_ctrl = traj.u.shape[1] if traj.u.ndim == 2 else 0
+    header = ["k"] + [f"u_{j + 1}" for j in range(n_ctrl)] + ["payoff", "rel_gap"]
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row, k in enumerate(traj.ks):
+            gap = traj.rel_gap[row] if traj.rel_gap is not None else float("nan")
+            writer.writerow(
+                [str(int(k))]
+                + [_format(v) for v in np.atleast_1d(traj.u[row])]
+                + [_format(traj.payoff[row]), _format(gap)]
+            )
+
+
+def reference_write_summary_csv(path: Path, ks: np.ndarray, gaps: np.ndarray) -> None:
+    """``harness.write_summary_csv`` on ``csv.writer``, the oracle for the
+    one-string writer."""
+    q1, med, q3 = np.percentile(gaps, [25, 50, 75], axis=0)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "gap_median", "gap_q1", "gap_q3"])
+        for i, k in enumerate(ks):
+            writer.writerow([str(int(k)), _format(med[i]), _format(q1[i]), _format(q3[i])])

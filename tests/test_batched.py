@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from opinionshape import sas
 from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
+from opinionshape.dynamics import payoff_fn
 from opinionshape.errors import DivergenceError
 from opinionshape.general import GeneralModel, general_grad_update, value_update
 from opinionshape.network import ActivationModel, AgentPartition
@@ -27,6 +28,7 @@ from helpers import (
     reference_value_update,
     reference_w_derivs,
     reference_w_values,
+    ring_chords_instance,
 )
 
 
@@ -237,6 +239,48 @@ class TestTickKernel:
             )
             assert got.tobytes() == want.tobytes()
             assert clocks.value(poller) == 2
+
+
+def mixed_curves(partition: AgentPartition) -> AgentPartition:
+    """The controls cycle through a shared pointwise RampCurve, a
+    ConstantCurve and a LinearCurve."""
+    pool = [RampCurve(), ConstantCurve(0.4), LinearCurve(0.2)]
+    return replace(partition, w={node: pool[pos % 3] for pos, node in enumerate(partition.controlled)})
+
+
+class TestStackedPayoff:
+    """payoff_fn's closure on a stack of control rows equals its one-vector
+    calls, row by row, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def instances(self, karate_graph, karate_partition):
+        ring, ring_partition = ring_chords_instance(30, 9, 3, seed=2)
+        wide, wide_partition = ring_chords_instance(120, 80, 10, seed=3)
+        none_graph, none_partition = ring_chords_instance(20, 0, 3, seed=1)
+        return {
+            "karate": (karate_graph, karate_partition),
+            "karate-mixed": (karate_graph, mixed_curves(karate_partition)),
+            "ring-mixed": (ring, mixed_curves(ring_partition)),
+            # 80 controls: dot products long enough for BLAS's vector kernel
+            "wide": (wide, wide_partition),
+            "no-controls": (none_graph, none_partition),
+        }
+
+    @pytest.mark.parametrize("name", ["karate", "karate-mixed", "ring-mixed", "wide", "no-controls"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_stack_matches_rows(self, instances, name, data):
+        graph, partition = instances[name]
+        n_ctrl = len(partition.controlled)
+        n_rows = data.draw(st.integers(1, 50))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        us = rng.uniform(0.0, 5.0, (n_rows, n_ctrl))
+        for row in data.draw(st.lists(st.integers(0, n_rows - 1), max_size=3)):
+            us[row] = data.draw(st.lists(CONTROLS, min_size=n_ctrl, max_size=n_ctrl))
+        payoff = payoff_fn(graph, partition)
+        got = payoff(us)
+        assert got.shape == (n_rows,)
+        assert got.tobytes() == np.array([payoff(u) for u in us]).tobytes()
 
 
 def ring_with_last_controlled(n: int = 6):

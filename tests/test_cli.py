@@ -135,6 +135,21 @@ def test_unusable_output_directory_is_exit_2(tmp_path, capsys, under_file):
     assert str(out) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["sas_seed0.csv", "sas_summary.csv"])
+def test_unwritable_csv_path_is_exit_2(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = write_config(tmp_path, out_dir=out)
+    assert main(["run", "--config", str(cfg), "--iters", "3", "--runs", "1"]) == 2
+    assert str(out / name) in capsys.readouterr().err
+
+
+def test_denom_too_large_for_a_float_is_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, out_dir=tmp_path / "big", denom=10**400)
+    assert main(["run", "--config", str(cfg), "--iters", "3", "--runs", "1"]) == 2
+    assert "denom" in capsys.readouterr().err
+
+
 def test_diverging_sas_is_exit_3(tmp_path, capsys):
     # a fast step of 5 overshoots the sensitivity fixed point and blows up
     cfg = write_config(tmp_path, step_a=5.0, out_dir=tmp_path / "div")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opinionshape import harness
 from opinionshape.errors import ConfigError
@@ -13,9 +15,12 @@ from opinionshape.harness import (
     run_experiment,
     run_scheme,
     timing_report,
+    write_run_csv,
+    write_summary_csv,
 )
+from opinionshape.optim import Trajectory
 
-from helpers import SolveCounter
+from helpers import SolveCounter, reference_write_run_csv, reference_write_summary_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -254,3 +259,54 @@ class TestTiming:
         report = timing_report(cfg, schemes, n_iters=3)
         assert built == ["sas", "general-rl"]
         assert all(report[s]["min"] > 0.0 for s in schemes)
+
+
+SPECIAL_FLOATS = st.sampled_from([
+    float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+    2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1, -1 / 3,
+])
+
+
+def float_block(data, shape: tuple[int, ...]) -> np.ndarray:
+    """Arbitrary float64 bit patterns with a few special values written in."""
+    size = int(np.prod(shape))
+    out = np.frombuffer(data.draw(st.binary(min_size=8 * size, max_size=8 * size)), dtype=float).copy()
+    if size:
+        for pos, value in data.draw(st.lists(st.tuples(st.integers(0, size - 1), SPECIAL_FLOATS), max_size=12)):
+            out[pos] = value
+    return out.reshape(shape)
+
+
+class TestCsvWriters:
+    """The one-string writers against the csv.writer ones, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def out(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("csv-writers")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_run_csv_matches_csv_writer(self, out, data):
+        n_rows, n_ctrl = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 6))
+        ks = np.array(data.draw(st.lists(st.integers(0, 2**62), min_size=n_rows, max_size=n_rows)))
+        traj = Trajectory(
+            scheme="sas",
+            ks=ks,
+            u=float_block(data, (n_rows, n_ctrl)),
+            payoff=float_block(data, (n_rows,)),
+            rel_gap=float_block(data, (n_rows,)) if data.draw(st.booleans()) else None,
+        )
+        write_run_csv(out / "run.csv", traj)
+        reference_write_run_csv(out / "ref.csv", traj)
+        assert (out / "run.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_summary_csv_matches_csv_writer(self, out, data):
+        n_rows, n_runs = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 5))
+        ks = np.arange(n_rows) * data.draw(st.integers(1, 10**6))
+        gaps = float_block(data, (n_runs, n_rows))
+        with np.errstate(invalid="ignore", over="ignore"):
+            write_summary_csv(out / "summary.csv", ks, gaps)
+            reference_write_summary_csv(out / "ref.csv", ks, gaps)
+        assert (out / "summary.csv").read_bytes() == (out / "ref.csv").read_bytes()
