@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .network import (
+    STUBBORN,
     ActivationModel,
     AgentPartition,
     InteractionGraph,
@@ -77,9 +78,7 @@ def gossip_step(
     else:
         active = rng.random(n) < activation.q
 
-    stubborn = np.zeros(n, dtype=bool)
-    stubborn[list(partition.stubborn)] = True
-    pollers = np.flatnonzero(active & ~stubborn)
+    pollers = np.flatnonzero(active & (partition.node_codes() != STUBBORN))
     polled = sample_poll_targets(graph.poll_cdf(), pollers, rng)
 
     for i in partition.stubborn:
@@ -190,9 +189,7 @@ def empirical_opinion_stats(
 
     stubborn_idx = np.array(partition.stubborn, dtype=int)
     ctrl_idx = np.array(partition.controlled, dtype=int)
-    free_idx = np.array(
-        sorted(set(range(n)) - set(partition.stubborn)), dtype=int
-    )
+    free_idx = np.flatnonzero(partition.node_codes() != STUBBORN)
     table = graph.poll_cdf()
     h_vec = np.array([partition.h[i] for i in partition.stubborn])
     w_vals = partition.w_values(u) if len(ctrl_idx) else np.zeros(0)

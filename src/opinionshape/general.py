@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import ConstantCurve, Curve
-from .dynamics import sample_poll_targets
+from .dynamics import initial_state, sample_poll_targets
 from .errors import InfeasibleError
 from .network import STUBBORN, AgentPartition, InteractionGraph
 from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, run_loop
@@ -41,8 +41,7 @@ class GeneralModel:
 
     def alpha_values(self, partition: AgentPartition, u: np.ndarray) -> np.ndarray:
         out = np.zeros(partition.node_count)
-        for pos, node in enumerate(partition.controlled):
-            out[node] = self.alpha_curves[node].value(float(u[pos]))
+        out[list(partition.controlled)] = self.tables(partition, u)[0]
         return out
 
     def tables(self, partition: AgentPartition, u: np.ndarray):
@@ -78,6 +77,36 @@ def study_model(partition: AgentPartition, seed, alpha_curve: Curve) -> GeneralM
     )
 
 
+def _fixed_point(partition: AgentPartition, model: GeneralModel, u: np.ndarray):
+    """Row vectors (damp, rhs) of the fixed point x = rhs + damp * (P x),
+    and the curve tables: damp is 1 - alpha(u) on S, 1 on S1 and 0 on S0;
+    rhs is alpha(u) w(u) on S, 0 on S1 and h on S0.
+    """
+    tables = model.tables(partition, u)
+    a, _, w, _ = tables
+    idx = list(partition.controlled)
+    damp = (partition.node_codes() != STUBBORN).astype(float)
+    damp[idx] = 1.0 - a
+    rhs = np.zeros(partition.node_count)
+    rhs[idx] = a * w
+    for node in partition.stubborn:
+        rhs[node] = partition.h[node]
+    return damp, rhs, tables
+
+
+def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise InfeasibleError(f"general stationary system is singular: {exc}") from exc
+
+
+def _driver(tables, sel, next_values: np.ndarray) -> np.ndarray:
+    """Sensitivity driver a w' + a' w - a' x_next of the controls sel."""
+    a, ad, w, wd = tables
+    return a[sel] * wd[sel] + ad[sel] * w[sel] - ad[sel] * next_values
+
+
 def value_oracle(
     graph: InteractionGraph,
     partition: AgentPartition,
@@ -85,21 +114,8 @@ def value_oracle(
     u: np.ndarray,
 ) -> np.ndarray:
     """Stationary values under control-dependent influence (linear solve)."""
-    n = graph.node_count
-    alpha_node = model.alpha_values(partition, u)
-    keep = np.ones(n)
-    keep[list(partition.stubborn)] = 0.0
-    A = (keep * (1.0 - alpha_node))[:, None] * graph.P
-    rhs = np.zeros(n)
-    a, _, w, _ = model.tables(partition, u)
-    for pos, node in enumerate(partition.controlled):
-        rhs[node] = a[pos] * w[pos]
-    for node in partition.stubborn:
-        rhs[node] = partition.h[node]
-    try:
-        return np.linalg.solve(np.eye(n) - A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise InfeasibleError(f"general stationary system is singular: {exc}") from exc
+    damp, rhs, _ = _fixed_point(partition, model, u)
+    return _solve(np.eye(graph.node_count) - damp[:, None] * graph.P, rhs)
 
 
 def general_payoff(
@@ -118,20 +134,11 @@ def general_payoff_and_grad(
     u: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Payoff plus its exact control gradient (adjoint solve)."""
-    n = graph.node_count
-    alpha_node = model.alpha_values(partition, u)
-    keep = np.ones(n)
-    keep[list(partition.stubborn)] = 0.0
-    A = (keep * (1.0 - alpha_node))[:, None] * graph.P
-    system = np.eye(n) - A
-    rhs = np.zeros(n)
-    a, ad, w, wd = model.tables(partition, u)
+    damp, rhs, (a, ad, w, wd) = _fixed_point(partition, model, u)
+    system = np.eye(graph.node_count) - damp[:, None] * graph.P
+    x = _solve(system, rhs)
+    adj = _solve(system.T, np.ones(graph.node_count))
     idx = list(partition.controlled)
-    rhs[idx] = a * w
-    for node in partition.stubborn:
-        rhs[node] = partition.h[node]
-    x = np.linalg.solve(system, rhs)
-    adj = np.linalg.solve(system.T, np.ones(n))
     mean_next = graph.P @ x
     grad = adj[idx] * (ad * (w - mean_next[idx]) + a * wd)
     return float(x.sum()), grad
@@ -180,16 +187,16 @@ def _value_relax(
     values: np.ndarray,
     pollers: np.ndarray,
     polled: np.ndarray,
-    alpha: np.ndarray,
+    damp: np.ndarray,
     reward: np.ndarray,
-    steps: np.ndarray,
+    steps,
 ) -> None:
     """Value relaxations for one tick, in place, reading pre-tick values.
 
-    reward[p] = alpha_i * w_i(u_i) for the poller owning a control, else 0;
-    value i moves toward reward + (1 - alpha_i) * values[polled] by a_i.
+    damp and reward are the fixed point's damp and rhs per poller; value i
+    moves toward reward_i + damp_i * values[polled] by its step a_i.
     """
-    target = reward + (1.0 - alpha[pollers]) * values[polled]
+    target = reward + damp * values[polled]
     values[pollers] += steps * (target - values[pollers])
 
 
@@ -210,14 +217,9 @@ def value_update(
     if node in partition.stubborn:
         return values
     new = values.copy()
-    pos = int(partition.node_codes()[node])
-    a, _, w, _ = model.tables(partition, u)
-    reward = a[pos] * w[pos] if pos >= 0 else 0.0
-    step = schedule.a(clocks.value(node))
-    _value_relax(
-        new, np.array([node]), np.array([probed]), model.alpha_values(partition, u),
-        np.array([reward]), np.array([step]),
-    )
+    damp, rhs, _ = _fixed_point(partition, model, u)
+    rows = np.array([node])
+    _value_relax(new, rows, np.array([probed]), damp[rows], rhs[rows], schedule.a(clocks.value(node)))
     clocks.bump([node])
     return new
 
@@ -236,7 +238,7 @@ def general_grad_update(
     """Sensitivity update carrying the influence-curve derivative terms.
 
     The one-row case of ``sas._tick_fast_updates`` with the general model's
-    alpha(u) and diagonal driver a w' + a' w - a' values[probed]; so with a
+    damping and diagonal driver a w' + a' w - a' values[probed]; so with a
     flat influence curve (zero derivative) it is exactly the two-time-scale
     fast update.
     """
@@ -245,11 +247,10 @@ def general_grad_update(
     new = grad_table.copy()
     pollers, polled = np.array([node]), np.array([probed])
     own_rows, sel, own_cells = owned_cells(partition.node_codes(), pollers, new.shape[1])
-    a, ad, w, wd = model.tables(partition, u)
-    driver = a[sel] * wd[sel] + ad[sel] * w[sel] - ad[sel] * values[polled[own_rows]]
+    damp, _, tables = _fixed_point(partition, model, u)
     _tick_fast_updates(
-        new, pollers, polled, (1.0 - model.alpha_values(partition, u)[pollers])[:, None],
-        own_cells, driver, schedule.a(clocks.value(node)),
+        new, pollers, polled, damp[pollers][:, None], own_cells,
+        _driver(tables, sel, values[polled[own_rows]]), schedule.a(clocks.value(node)),
     )
     clocks.bump([node])
     return new
@@ -285,43 +286,54 @@ def known_p_updates(
     graph: InteractionGraph,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-expectation versions of the value and sensitivity updates."""
-    n = graph.node_count
+    damp, rhs, tables = _fixed_point(partition, model, u)
+    free = partition.node_codes() != STUBBORN
     step = schedule.a(k)
-    a_node = np.zeros(n)
-    ad_node = np.zeros(n)
-    w_node = np.zeros(n)
-    wd_node = np.zeros(n)
-    a, ad, w, wd = model.tables(partition, u)
-    idx = list(partition.controlled)
-    a_node[idx], ad_node[idx], w_node[idx], wd_node[idx] = a, ad, w, wd
-
-    free = np.ones(n, dtype=bool)
-    free[list(partition.stubborn)] = False
 
     mean_v = graph.P @ values
     new_values = values.copy()
-    new_values[free] = values[free] + step * (
-        a_node[free] * w_node[free] + (1.0 - a_node[free]) * mean_v[free] - values[free]
-    )
+    new_values[free] = values[free] + step * (rhs[free] + damp[free] * mean_v[free] - values[free])
 
-    mean_g = graph.P @ grad_table
-    target = (1.0 - a_node)[:, None] * mean_g
-    for pos, node in enumerate(partition.controlled):
-        target[node, pos] += a[pos] * wd[pos] + ad[pos] * w[pos] - ad[pos] * mean_v[node]
+    idx = list(partition.controlled)
+    target = damp[:, None] * (graph.P @ grad_table)
+    target[idx, np.arange(len(idx))] += _driver(tables, slice(None), mean_v[idx])
     new_table = grad_table.copy()
     new_table[free] = grad_table[free] + step * (target[free] - grad_table[free])
     return new_values, new_table
 
 
-def _initial_values(partition: AgentPartition) -> np.ndarray:
-    v = np.zeros(partition.node_count)
-    for node in partition.stubborn:
-        v[node] = partition.h[node]
-    return v
+def _general_loop(
+    scheme: str, fast_step, graph: InteractionGraph, partition: AgentPartition, model: GeneralModel,
+    budget: float, schedule: StepSchedule, n_iters: int, seed, C: float, anneal_denom: int | None,
+    u0: np.ndarray | None, payoff_star: float | None,
+) -> Trajectory:
+    """The loop both general learners share: each tick's
+    ``fast_step(k, u, values, grad_table)`` returns the two tables after its
+    fast updates, then the annealed ascent follows the table's column sums
+    with noise from a stream derived from the seed alone.
+    """
+    noise_rng = np.random.default_rng(np.random.SeedSequence([NOISE_SEED_TAG, int(seed)]))
+    anneal_denom = schedule.denom if anneal_denom is None else anneal_denom
+    n_ctrl = len(partition.controlled)
+    u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
+    values = initial_state(graph, partition, 0.0).x
+    grad_table = np.zeros((graph.node_count, n_ctrl))
 
+    def tick(k, u):
+        nonlocal values, grad_table
+        values, grad_table = fast_step(k, u, values, grad_table)
+        if n_ctrl:
+            u = annealed_slow_update(
+                u, grad_table.sum(axis=0), k, schedule, C, anneal_denom, budget, noise_rng
+            )
+        return u
 
-def _noise_rng(seed) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([NOISE_SEED_TAG, int(seed)]))
+    traj = run_loop(
+        scheme, u, n_iters, tick,
+        lambda us: [general_payoff(graph, partition, model, u) for u in us], payoff_star,
+    )
+    traj.extras = {"values": values.copy(), "grad_table": grad_table.copy()}
+    return traj
 
 
 def run_general_rl(
@@ -340,55 +352,32 @@ def run_general_rl(
     """Sampled-event learner: value and sensitivity tables plus annealed ascent.
 
     The poll-event stream consumes the run RNG exactly as the two-time-scale
-    runner does; annealing noise comes from a separate stream derived from
-    the seed, so the known-matrix twin sees the same noise.
+    runner does; the annealing noise is the known-matrix twin's.
     """
     rng = np.random.default_rng(seed)
-    noise_rng = _noise_rng(seed)
-    anneal_denom = schedule.denom if anneal_denom is None else anneal_denom
-    n = graph.node_count
-    n_ctrl = len(partition.controlled)
-    u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
-    values = _initial_values(partition)
-    grad_table = np.zeros((n, n_ctrl))
     cdf = graph.poll_cdf()
-
     # synchronous: every non-stubborn agent polls on every tick, so every
     # local clock reads k
     codes = partition.node_codes()
     pollers = np.flatnonzero(codes != STUBBORN)
-    own_rows, sel, own_cells = owned_cells(codes, pollers, n_ctrl)
-    controlled = list(partition.controlled)
+    own_rows, sel, own_cells = owned_cells(codes, pollers, len(partition.controlled))
     steps = schedule.a(np.arange(n_iters))
     draws = poll_blocks(lambda rows: sample_poll_targets(cdf, rows, rng), pollers, n_iters)
 
-    def tick(k, u):
+    def fast_step(k, u, values, grad_table):
         polled = next(draws)
-        a, ad, w, wd = model.tables(partition, u)
-        alpha_node = np.zeros(n)
-        alpha_node[controlled] = a
-
-        driver = a[sel] * wd[sel] + ad[sel] * w[sel] - ad[sel] * values[polled[own_rows]]
-        reward = np.zeros(len(pollers))
-        reward[own_rows] = a[sel] * w[sel]
-        _tick_fast_updates(
-            grad_table, pollers, polled, (1.0 - alpha_node[pollers])[:, None], own_cells, driver, steps[k]
-        )
+        damp, rhs, tables = _fixed_point(partition, model, u)
+        damp = damp[pollers]
+        driver = _driver(tables, sel, values[polled[own_rows]])
+        _tick_fast_updates(grad_table, pollers, polled, damp[:, None], own_cells, driver, steps[k])
         # value relaxation on the same events, reading pre-tick values
-        _value_relax(values, pollers, polled, alpha_node, reward, steps[k])
+        _value_relax(values, pollers, polled, damp, rhs[pollers], steps[k])
+        return values, grad_table
 
-        if n_ctrl:
-            u = annealed_slow_update(
-                u, grad_table.sum(axis=0), k, schedule, C, anneal_denom, budget, noise_rng
-            )
-        return u
-
-    traj = run_loop(
-        "general-rl", u, n_iters, tick,
-        lambda us: [general_payoff(graph, partition, model, u) for u in us], payoff_star,
+    return _general_loop(
+        "general-rl", fast_step, graph, partition, model, budget, schedule, n_iters, seed,
+        C, anneal_denom, u0, payoff_star,
     )
-    traj.extras = {"values": values.copy(), "grad_table": grad_table.copy()}
-    return traj
 
 
 def run_general_knownp(
@@ -405,28 +394,11 @@ def run_general_knownp(
     payoff_star: float | None = None,
 ) -> Trajectory:
     """Deterministic-expectation twin of the sampled learner (same noise)."""
-    noise_rng = _noise_rng(seed)
-    anneal_denom = schedule.denom if anneal_denom is None else anneal_denom
-    n = graph.node_count
-    n_ctrl = len(partition.controlled)
-    u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
-    values = _initial_values(partition)
-    grad_table = np.zeros((n, n_ctrl))
 
-    def tick(k, u):
-        nonlocal values, grad_table
-        values, grad_table = known_p_updates(
-            values, grad_table, partition, model, u, k, schedule, graph
-        )
-        if n_ctrl:
-            u = annealed_slow_update(
-                u, grad_table.sum(axis=0), k, schedule, C, anneal_denom, budget, noise_rng
-            )
-        return u
+    def fast_step(k, u, values, grad_table):
+        return known_p_updates(values, grad_table, partition, model, u, k, schedule, graph)
 
-    traj = run_loop(
-        "general-knownp", u, n_iters, tick,
-        lambda us: [general_payoff(graph, partition, model, u) for u in us], payoff_star,
+    return _general_loop(
+        "general-knownp", fast_step, graph, partition, model, budget, schedule, n_iters, seed,
+        C, anneal_denom, u0, payoff_star,
     )
-    traj.extras = {"values": values.copy(), "grad_table": grad_table.copy()}
-    return traj

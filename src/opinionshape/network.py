@@ -525,10 +525,8 @@ def random_partition(
 
 def substochastic_matrix(graph: InteractionGraph, partition: AgentPartition) -> np.ndarray:
     """Influence matrix: stubborn rows zero, controlled rows damped by 1 - alpha."""
-    keep = np.ones(graph.node_count)
-    keep[list(partition.stubborn)] = 0.0
-    damp = 1.0 - partition.alpha
-    return (keep * damp)[:, None] * graph.P
+    keep = partition.node_codes() != STUBBORN
+    return (keep * (1.0 - partition.alpha))[:, None] * graph.P
 
 
 def influence_rhs(partition: AgentPartition, u: np.ndarray) -> np.ndarray:

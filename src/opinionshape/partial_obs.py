@@ -278,7 +278,8 @@ def run_partial(
         hidden = sample_hidden(partition, 1.0 - observed_fraction, seed)
     observed = observed_set(partition, hidden)
     observed_lookup = frozenset(observed)
-    learners = [node for node in observed if node not in partition.stubborn]
+    stubborn = partition.stubborn_set()
+    learners = [node for node in observed if node not in stubborn]
     alpha = partition.alpha.tolist()
     survive = [1.0 - alpha[node] for node in learners]
     ctrl_index = partition.control_index()

@@ -205,9 +205,7 @@ def run_sgd(
     rng = np.random.default_rng(seed)
     n_ctrl = len(partition.controlled)
     u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
-    starts_all = np.array(
-        sorted(set(range(graph.node_count)) - set(partition.stubborn)), dtype=int
-    )
+    starts_all = np.flatnonzero(partition.node_codes() != STUBBORN)
 
     def tick(k, u):
         if not (len(starts_all) and n_ctrl):

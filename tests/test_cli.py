@@ -70,6 +70,14 @@ def test_infeasible_instance_is_exit_3(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 3
 
 
+@pytest.mark.parametrize("scheme", ["general-rl", "general-knownp"])
+def test_general_scheme_without_stubborn_agents_is_exit_3(tmp_path, scheme):
+    # alpha(0) = 0 and no stubborn agent: the general system at u = 0 is
+    # Id - P, singular
+    cfg = write_config(tmp_path, scheme=scheme, s1_size=31, s0_size=0, out_dir=tmp_path / "g")
+    assert main(["run", "--config", str(cfg)]) == 3
+
+
 def test_timing_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, out_dir=tmp_path / "t")
     code = main(["timing", "--config", str(cfg), "--schemes", "sas", "--timing-iters", "10"])

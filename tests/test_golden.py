@@ -164,6 +164,11 @@ GOLDEN = {
         'general-rl_seed1.csv': 'ea5785fc6984667355f8ae72c336b6679b8ad6c949960146a036ec4b3ceea0e6',
         'general-rl_summary.csv': '0d502b49ea5e392caf0a60d88769537ec4a00c202d5d6f1584311e06dae5befe',
     },
+    ('karate', 'general-knownp'): {
+        'general-knownp_seed0.csv': 'b37ab8caafde16242888ead3e8d159b2fc9a90858d5a9624332b34e338e0c6c2',
+        'general-knownp_seed1.csv': 'b37ab8caafde16242888ead3e8d159b2fc9a90858d5a9624332b34e338e0c6c2',
+        'general-knownp_summary.csv': 'e4cf99ad36a2cc2b21300163a2dcba63809c6052bc1482062b0c964331ad9ff3',
+    },
 }
 GOLDEN_SIMULATORS = {
     'gossip_synchronous': 'f3ea15b61703cb9b7439ef99e90b25f42be35e05b20b4c227d5ad9e40f38d9d2',
@@ -208,7 +213,8 @@ def test_wide_batch_csv_bytes_match_golden_digests(tmp_path, scheme):
 
 @pytest.mark.parametrize(
     "instance, scheme",
-    [(i, s) for i in ("karate", "ring") for s in SCHEMES] + [("karate", "general-rl")],
+    [(i, s) for i in ("karate", "ring") for s in SCHEMES]
+    + [("karate", "general-rl"), ("karate", "general-knownp")],
 )
 def test_csv_bytes_match_golden_digests(tmp_path, instance, scheme):
     assert run_short(tmp_path, instance, scheme) == GOLDEN[instance, scheme]
