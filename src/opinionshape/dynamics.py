@@ -30,6 +30,7 @@ from .network import (
     InteractionGraph,
     PollTable,
     influence_rhs,
+    solve,
     stationary_system,
 )
 
@@ -78,22 +79,18 @@ def gossip_step(
     else:
         active = rng.random(n) < activation.q
 
-    pollers = np.flatnonzero(active & (partition.node_codes() != STUBBORN))
+    codes = partition.node_codes()
+    pollers = np.flatnonzero(active & (codes != STUBBORN))
     polled = sample_poll_targets(graph.poll_cdf(), pollers, rng)
 
-    for i in partition.stubborn:
-        if active[i]:
-            x_new[i] = partition.h[i]
+    reset = np.flatnonzero(active & (codes == STUBBORN))
+    x_new[reset] = [partition.h[i] for i in reset.tolist()]
 
-    ctrl_index = partition.control_index()
-    w_vals = partition.w_values(u)
+    # alpha is 0 off S, so only controlled pollers can take the target
+    target = np.zeros(n)
+    target[list(partition.controlled)] = partition.w_values(u)
     coins = rng.random(len(pollers))
-    for poller, target, coin in zip(pollers, polled, coins):
-        pos = ctrl_index.get(int(poller))
-        if pos is not None and coin < partition.alpha[poller]:
-            x_new[poller] = w_vals[pos]
-        else:
-            x_new[poller] = x_old[target]
+    x_new[pollers] = np.where(coins < partition.alpha[pollers], target[pollers], x_old[polled])
 
     events = [PollEvent(int(i), int(j)) for i, j in zip(pollers, polled)]
     return OpinionState(x=x_new, k=state.k + 1), events
@@ -103,14 +100,11 @@ def stationary_opinion(graph: InteractionGraph, partition: AgentPartition, u: np
     """Solve (Id - A) x = rhs(u) for the long-run mean opinion."""
     system = stationary_system(graph, partition)
     rhs = influence_rhs(partition, u)
-    try:
-        x = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise InfeasibleError(f"stationary system is singular: {exc}") from exc
+    x = solve(system, rhs)
     residual = np.max(np.abs(system @ x - rhs))
     if residual > RESIDUAL_TOL:
         # one step of iterative refinement before giving up
-        x = x + np.linalg.solve(system, rhs - system @ x)
+        x = x + solve(system, rhs - system @ x)
         residual = np.max(np.abs(system @ x - rhs))
         if residual > RESIDUAL_TOL:
             raise InfeasibleError(f"stationary solve residual {residual:.3e} above tolerance")
@@ -132,9 +126,9 @@ def payoff_fn(graph: InteractionGraph, partition: AgentPartition) -> Callable[[n
 
     The system matrix does not depend on u, so the payoff reduces to a dot
     product with precomputed coefficients.  The closure takes one control
-    vector (a float back) or a stack of them, one per row (an array back,
-    bit for bit the payoff of each row: one ``w_values`` call on the stack,
-    then the same dot product per row).
+    vector (a float back) or a stack of them, one per row (an array back).
+    Both take one path: one ``w_values`` call on the stack, a single vector
+    being its one row, then the same dot product per row.
     """
     coef = payoff_coefficients(graph, partition)
     base = sum(coef[i] * partition.h[i] for i in partition.stubborn)
@@ -142,13 +136,9 @@ def payoff_fn(graph: InteractionGraph, partition: AgentPartition) -> Callable[[n
     c_ctrl = coef[idx] * partition.alpha[idx]
 
     def payoff(u: np.ndarray) -> float | np.ndarray:
-        if np.ndim(u) == 2:
-            if not idx:
-                return np.full(len(u), float(base))
-            return base + np.array([c_ctrl @ row for row in partition.w_values(u)])
-        if not idx:
-            return float(base)
-        return float(base + c_ctrl @ partition.w_values(u))
+        # without controls each c_ctrl @ row is 0.0
+        rows = base + np.array([c_ctrl @ row for row in partition.w_values(np.atleast_2d(u))])
+        return rows if np.ndim(u) == 2 else float(rows[0])
 
     return payoff
 

@@ -24,8 +24,7 @@ import numpy as np
 
 from .curves import ConstantCurve, Curve
 from .dynamics import initial_state, sample_poll_targets
-from .errors import InfeasibleError
-from .network import STUBBORN, AgentPartition, InteractionGraph
+from .network import STUBBORN, AgentPartition, InteractionGraph, fixed_point, solve, system_matrix
 from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, run_loop
 from .sas import _tick_fast_updates, owned_cells, poll_blocks
 
@@ -78,27 +77,10 @@ def study_model(partition: AgentPartition, seed, alpha_curve: Curve) -> GeneralM
 
 
 def _fixed_point(partition: AgentPartition, model: GeneralModel, u: np.ndarray):
-    """Row vectors (damp, rhs) of the fixed point x = rhs + damp * (P x),
-    and the curve tables: damp is 1 - alpha(u) on S, 1 on S1 and 0 on S0;
-    rhs is alpha(u) w(u) on S, 0 on S1 and h on S0.
-    """
+    """Rows (damp, rhs) of ``network.fixed_point`` at a = alpha(u), w = w(u),
+    and the curve tables alpha, alpha', w, w' they come from."""
     tables = model.tables(partition, u)
-    a, _, w, _ = tables
-    idx = list(partition.controlled)
-    damp = (partition.node_codes() != STUBBORN).astype(float)
-    damp[idx] = 1.0 - a
-    rhs = np.zeros(partition.node_count)
-    rhs[idx] = a * w
-    for node in partition.stubborn:
-        rhs[node] = partition.h[node]
-    return damp, rhs, tables
-
-
-def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise InfeasibleError(f"general stationary system is singular: {exc}") from exc
+    return (*fixed_point(partition, tables[0], tables[2]), tables)
 
 
 def _driver(tables, sel, next_values: np.ndarray) -> np.ndarray:
@@ -115,7 +97,7 @@ def value_oracle(
 ) -> np.ndarray:
     """Stationary values under control-dependent influence (linear solve)."""
     damp, rhs, _ = _fixed_point(partition, model, u)
-    return _solve(np.eye(graph.node_count) - damp[:, None] * graph.P, rhs)
+    return solve(system_matrix(graph.P, damp), rhs)
 
 
 def general_payoff(
@@ -135,9 +117,9 @@ def general_payoff_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Payoff plus its exact control gradient (adjoint solve)."""
     damp, rhs, (a, ad, w, wd) = _fixed_point(partition, model, u)
-    system = np.eye(graph.node_count) - damp[:, None] * graph.P
-    x = _solve(system, rhs)
-    adj = _solve(system.T, np.ones(graph.node_count))
+    system = system_matrix(graph.P, damp)
+    x = solve(system, rhs)
+    adj = solve(system.T, np.ones(graph.node_count))
     idx = list(partition.controlled)
     mean_next = graph.P @ x
     grad = adj[idx] * (ad * (w - mean_next[idx]) + a * wd)
@@ -149,10 +131,9 @@ def general_reference_optimum(
     partition: AgentPartition,
     model: GeneralModel,
     budget: float,
-    n_iters: int = 4000,
-    step_scale: float = 25.0,
 ) -> tuple[np.ndarray, float]:
-    """Best control found by deterministic multistart projected ascent.
+    """Best control found by deterministic multistart projected ascent,
+    4000 steps of size 25 / (k + 1) from each start.
 
     The payoff is non-convex here, so this is a reference, not a
     certificate of global optimality.
@@ -167,9 +148,9 @@ def general_reference_optimum(
     best_u, best_val = np.zeros(n_ctrl), -np.inf
     for u0 in starts:
         u = u0.copy()
-        for k in range(n_iters):
+        for k in range(4000):
             _, grad = general_payoff_and_grad(graph, partition, model, u)
-            u = project_budget_simplex(u + (step_scale / (k + 1)) * grad, budget)
+            u = project_budget_simplex(u + (25.0 / (k + 1)) * grad, budget)
         val = general_payoff(graph, partition, model, u)
         if val > best_val:
             best_u, best_val = u, val

@@ -301,7 +301,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     seeds = [config.seed + r for r in range(n_runs)]
     trajectories: list[Trajectory] = []
     if config.jobs > 1 and n_runs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.jobs, n_runs)) as pool:
             for _, traj in pool.map(_worker, [(config, instance, s) for s in seeds]):
                 trajectories.append(traj)
     else:

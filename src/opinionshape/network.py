@@ -76,10 +76,7 @@ class InteractionGraph:
         cached = self._adjoint
         if cached is None or cached[0] is not partition:
             system = stationary_system(self, partition)
-            try:
-                coef = np.linalg.solve(system.T, np.ones(self.node_count))
-            except np.linalg.LinAlgError as exc:
-                raise InfeasibleError(f"stationary system is singular: {exc}") from exc
+            coef = solve(system.T, np.ones(self.node_count))
             residual = np.max(np.abs(system.T @ coef - 1.0))
             if not np.isfinite(residual) or residual > 1e-6:
                 raise InfeasibleError(f"stationary system residual too large: {residual:.3e}")
@@ -343,15 +340,11 @@ class AgentPartition:
         if len(groups) == 1 and hasattr(groups[0][0], batch):
             # one curve covers every control: no gather, no scatter
             return getattr(groups[0][0], batch)(u)
-        if u.ndim == 2:
-            # a stack of control rows: gather and scatter its columns
-            # through the transposes; u[..., positions] would cost the
-            # one-vector path every tick takes five times u[positions]
-            out = np.empty((len(u), len(self.controlled)))
-            cols, out_cols = u.T, out.T
-        else:
-            out = out_cols = np.empty(len(self.controlled))
-            cols = u
+        # one control vector or a stack of rows: gather and scatter the
+        # columns through the transposes; u[..., positions] would cost the
+        # one-vector path every tick takes five times u[positions]
+        out = np.empty(u.shape[:-1] + (len(self.controlled),))
+        cols, out_cols = u.T, out.T
         for curve, positions in groups:
             xs = cols[positions]
             if hasattr(curve, batch):
@@ -523,26 +516,51 @@ def random_partition(
     return partition
 
 
+def fixed_point(partition: AgentPartition, a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (damp, rhs) of the stationary fixed point x = rhs + damp * (P x)
+    for the influence a and the reward w per control: damp is 1 - a on S, 1
+    on S1 and 0 on S0; rhs is a w on S, 0 on S1 and h on S0."""
+    idx = list(partition.controlled)
+    damp = (partition.node_codes() != STUBBORN).astype(float)
+    damp[idx] = 1.0 - a
+    rhs = np.zeros(partition.node_count)
+    rhs[idx] = a * w
+    for node in partition.stubborn:
+        rhs[node] = partition.h[node]
+    return damp, rhs
+
+
+def system_matrix(P: np.ndarray, damp: np.ndarray) -> np.ndarray:
+    """Id - damp * P, the dense matrix of a fixed point x = rhs + damp * (P x)."""
+    return np.eye(len(damp)) - damp[:, None] * P
+
+
+def solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` that raises InfeasibleError on a singular system."""
+    try:
+        return np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise InfeasibleError(f"stationary system is singular: {exc}") from exc
+
+
+def _base_damp(partition: AgentPartition) -> np.ndarray:
+    return fixed_point(partition, partition.alpha[list(partition.controlled)], 0.0)[0]
+
+
 def substochastic_matrix(graph: InteractionGraph, partition: AgentPartition) -> np.ndarray:
-    """Influence matrix: stubborn rows zero, controlled rows damped by 1 - alpha."""
-    keep = partition.node_codes() != STUBBORN
-    return (keep * (1.0 - partition.alpha))[:, None] * graph.P
+    """Influence matrix A = damp * P: stubborn rows zero, controlled rows damped by 1 - alpha."""
+    return _base_damp(partition)[:, None] * graph.P
 
 
 def influence_rhs(partition: AgentPartition, u: np.ndarray) -> np.ndarray:
     """Constant term of the stationary system: alpha_i w_i(u_i) on S, h on S0."""
-    rhs = np.zeros(partition.node_count)
-    if len(partition.controlled):
-        idx = list(partition.controlled)
-        rhs[idx] = partition.alpha[idx] * partition.w_values(u)
-    for i in partition.stubborn:
-        rhs[i] = partition.h[i]
-    return rhs
+    idx = list(partition.controlled)
+    return fixed_point(partition, partition.alpha[idx], partition.w_values(u))[1]
 
 
 def stationary_system(graph: InteractionGraph, partition: AgentPartition) -> np.ndarray:
     """Id - A, the matrix of the stationary system (dense, n x n)."""
-    return np.eye(graph.node_count) - substochastic_matrix(graph, partition)
+    return system_matrix(graph.P, _base_damp(partition))
 
 
 def check_feasible(graph: InteractionGraph, partition: AgentPartition) -> None:

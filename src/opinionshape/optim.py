@@ -202,7 +202,6 @@ def exact_optimum(
     graph: InteractionGraph,
     partition: AgentPartition,
     budget: float,
-    tol: float = 1e-12,
 ) -> tuple[np.ndarray, float]:
     """Exact maximizer of the total payoff over the budget simplex.
 
@@ -315,7 +314,7 @@ def exact_optimum(
             lam_lo = lam
         else:
             lam_hi = lam
-        if lam_hi - lam_lo < tol * max(1.0, lam_hi):
+        if lam_hi - lam_lo < 1e-12 * max(1.0, lam_hi):
             break
     u_star = control_at(lam_hi, lam_lo, lam_hi, exact=True)
     # land exactly on the face when the budget binds
@@ -330,9 +329,8 @@ def stationarity_residual(
     partition: AgentPartition,
     budget: float,
     u: np.ndarray,
-    gamma: float = 1e-3,
 ) -> float:
-    """Norm of the projected-gradient fixed-point defect at u."""
+    """Norm of the projected-gradient fixed-point defect at u, step 1e-3."""
     grad = exact_gradient(graph, partition, u)
-    moved = project_budget_simplex(u + gamma * grad, budget)
+    moved = project_budget_simplex(u + 1e-3 * grad, budget)
     return float(np.linalg.norm(moved - u))

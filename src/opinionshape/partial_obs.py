@@ -27,7 +27,7 @@ import numpy as np
 
 from .dynamics import payoff_fn
 from .errors import NonAbsorbingError
-from .network import AgentPartition, InteractionGraph
+from .network import AgentPartition, InteractionGraph, fixed_point, solve, system_matrix
 from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, run_loop
 
 HOP_CAP = 10_000_000
@@ -146,21 +146,10 @@ def hit_law_oracle(
     terminal = sorted(set(observed) | set(partition.stubborn))
     hidden = sorted(set(range(graph.node_count)) - set(terminal))
     P = graph.P
-    n = graph.node_count
-
-    if hidden:
-        P_hh = P[np.ix_(hidden, hidden)]
-        P_ht = P[np.ix_(hidden, terminal)]
-        reach = np.linalg.solve(np.eye(len(hidden)) - P_hh, P_ht)
-    else:
-        reach = np.zeros((0, len(terminal)))
-
-    law = np.zeros((n, len(terminal)))
-    for node in terminal:
-        row = P[node, terminal].copy()
-        if hidden:
-            row = row + P[node, hidden] @ reach
-        law[node] = row
+    reach = solve(system_matrix(P[np.ix_(hidden, hidden)], np.ones(len(hidden))), P[np.ix_(hidden, terminal)])
+    law = np.zeros((graph.node_count, len(terminal)))
+    # one vector-matrix product per row; a matrix product sums in another order
+    law[terminal] = P[np.ix_(terminal, terminal)] + (P[np.ix_(terminal, hidden)][:, None] @ reach)[:, 0]
     return law, terminal
 
 
@@ -170,28 +159,17 @@ def restricted_grad_oracle(
     observed: tuple[int, ...] | set[int],
     u: np.ndarray,
 ) -> dict[int, float]:
-    """Fixed point of the restricted scalar recursion (test oracle)."""
+    """Fixed point of the restricted scalar recursion (test oracle): the
+    stationary fixed point on the observed non-stubborn agents, with q* for
+    P and the driver alpha w'(u) for the reward."""
     law, terminal = hit_law_oracle(graph, partition, observed)
-    stubborn = set(partition.stubborn)
-    free = [node for node in terminal if node not in stubborn]
-    t_index = {node: i for i, node in enumerate(terminal)}
-    ctrl_pos = partition.control_index()
-
-    m = len(free)
-    mat = np.eye(m)
-    rhs = np.zeros(m)
-    for r, node in enumerate(free):
-        a = partition.alpha[node]
-        pos = ctrl_pos.get(node)
-        if pos is not None:
-            rhs[r] = a * partition.w[node].deriv(float(u[pos]))
-        for c, other in enumerate(free):
-            mat[r, c] -= (1.0 - a) * law[node, t_index[other]]
-    sol = np.linalg.solve(mat, rhs)
-    out = {node: float(v) for node, v in zip(free, sol)}
-    for node in terminal:
-        if node in stubborn:
-            out[node] = 0.0
+    stubborn = partition.stubborn_set()
+    cols = [c for c, node in enumerate(terminal) if node not in stubborn]
+    free = [terminal[c] for c in cols]
+    damp, rhs = fixed_point(partition, partition.alpha[list(partition.controlled)], partition.w_derivs(u))
+    sol = solve(system_matrix(law[np.ix_(free, cols)], damp[free]), rhs[free])
+    out = dict(zip(free, sol.tolist()))
+    out.update((node, 0.0) for node in terminal if node in stubborn)
     return out
 
 

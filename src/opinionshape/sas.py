@@ -14,7 +14,7 @@ import numpy as np
 
 from .dynamics import payoff_fn, sample_poll_targets
 from .errors import DivergenceError
-from .network import STUBBORN, ActivationModel, AgentPartition, InteractionGraph, stationary_system
+from .network import STUBBORN, ActivationModel, AgentPartition, InteractionGraph, solve, stationary_system
 from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, run_loop
 
 # sanity ceiling on table entries: alpha_max * max w' / alpha_min, slack 10x
@@ -33,9 +33,8 @@ def exact_grad_table(graph: InteractionGraph, partition: AgentPartition, u: np.n
     n = graph.node_count
     idx = list(partition.controlled)
     driver = np.zeros((n, len(idx)))
-    if idx:
-        driver[idx, np.arange(len(idx))] = partition.alpha[idx] * partition.w_derivs(u)
-    return np.linalg.solve(stationary_system(graph, partition), driver)
+    driver[idx, np.arange(len(idx))] = partition.alpha[idx] * partition.w_derivs(u)
+    return solve(stationary_system(graph, partition), driver)
 
 
 def sas_fast_update(

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 
 from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
-from opinionshape.dynamics import payoff_coefficients, payoff_fn
+from opinionshape.dynamics import OpinionState, PollEvent, payoff_coefficients, payoff_fn, sample_poll_targets
 from opinionshape.errors import DivergenceError, NonAbsorbingError
 from opinionshape.general import GeneralModel
-from opinionshape.network import AgentPartition, InteractionGraph, PollTable, random_partition
+from opinionshape.network import STUBBORN, AgentPartition, InteractionGraph, PollTable, random_partition
 from opinionshape.optim import LocalClocks, StepSchedule, Trajectory
 from opinionshape.partial_obs import HOP_CAP, Token
 from opinionshape.sgd import WALK_STEP_CAP
@@ -304,6 +304,75 @@ def reference_relay_token(
             return Token(origin=int(node), terminal=cur, hops=hops, stamp=stamp)
         if hops > HOP_CAP:
             raise NonAbsorbingError(f"token from node {node} exceeded {HOP_CAP} hops")
+
+
+def reference_gossip_step(state, u, graph, partition, activation, rng):
+    """``dynamics.gossip_step`` with one Python step per stubborn agent and
+    per poller, the oracle for its array updates; same draws, same order."""
+    x_old = state.x
+    x_new = x_old.copy()
+    n = graph.node_count
+    if activation.mode == "synchronous":
+        active = np.ones(n, dtype=bool)
+    else:
+        active = rng.random(n) < activation.q
+    pollers = np.flatnonzero(active & (partition.node_codes() != STUBBORN))
+    polled = sample_poll_targets(graph.poll_cdf(), pollers, rng)
+    for i in partition.stubborn:
+        if active[i]:
+            x_new[i] = partition.h[i]
+    ctrl_index = partition.control_index()
+    w_vals = partition.w_values(u)
+    coins = rng.random(len(pollers))
+    for poller, target, coin in zip(pollers, polled, coins):
+        pos = ctrl_index.get(int(poller))
+        if pos is not None and coin < partition.alpha[poller]:
+            x_new[poller] = w_vals[pos]
+        else:
+            x_new[poller] = x_old[target]
+    events = [PollEvent(int(i), int(j)) for i, j in zip(pollers, polled)]
+    return OpinionState(x=x_new, k=state.k + 1), events
+
+
+def reference_hit_law_oracle(graph: InteractionGraph, partition: AgentPartition, observed):
+    """``partial_obs.hit_law_oracle`` with one row product per terminal state."""
+    terminal = sorted(set(observed) | set(partition.stubborn))
+    hidden = sorted(set(range(graph.node_count)) - set(terminal))
+    P = graph.P
+    if hidden:
+        reach = np.linalg.solve(np.eye(len(hidden)) - P[np.ix_(hidden, hidden)], P[np.ix_(hidden, terminal)])
+    law = np.zeros((graph.node_count, len(terminal)))
+    for node in terminal:
+        row = P[node, terminal].copy()
+        if hidden:
+            row = row + P[node, hidden] @ reach
+        law[node] = row
+    return law, terminal
+
+
+def reference_restricted_grad_oracle(graph: InteractionGraph, partition: AgentPartition, observed, u: np.ndarray):
+    """``partial_obs.restricted_grad_oracle`` with the system filled entry by entry."""
+    law, terminal = reference_hit_law_oracle(graph, partition, observed)
+    stubborn = set(partition.stubborn)
+    free = [node for node in terminal if node not in stubborn]
+    t_index = {node: i for i, node in enumerate(terminal)}
+    ctrl_pos = partition.control_index()
+    m = len(free)
+    mat = np.eye(m)
+    rhs = np.zeros(m)
+    for r, node in enumerate(free):
+        a = partition.alpha[node]
+        pos = ctrl_pos.get(node)
+        if pos is not None:
+            rhs[r] = a * partition.w[node].deriv(float(u[pos]))
+        for c, other in enumerate(free):
+            mat[r, c] -= (1.0 - a) * law[node, t_index[other]]
+    sol = np.linalg.solve(mat, rhs)
+    out = {node: float(v) for node, v in zip(free, sol)}
+    for node in terminal:
+        if node in stubborn:
+            out[node] = 0.0
+    return out
 
 
 def reference_w_values(partition: AgentPartition, u: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
-"""Batched reward curves, the in-place sas tick and the general model's
-one-row kernels against their previous scalar, temporary-allocating and
-per-event implementations, kept in ``helpers.py``."""
+"""Batched reward curves, the in-place sas tick, the general model's
+one-row kernels, the gossip step and the partial-observation oracles
+against their previous scalar, temporary-allocating, per-event and
+per-entry implementations, kept in ``helpers.py``."""
 
 from __future__ import annotations
 
@@ -14,16 +15,20 @@ from hypothesis import strategies as st
 
 from opinionshape import sas
 from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
-from opinionshape.dynamics import payoff_fn
+from opinionshape.dynamics import gossip_step, initial_state, payoff_fn
 from opinionshape.errors import DivergenceError
 from opinionshape.general import GeneralModel, general_grad_update, value_update
 from opinionshape.network import ActivationModel, AgentPartition
 from opinionshape.optim import LocalClocks, StepSchedule
+from opinionshape.partial_obs import hit_law_oracle, observed_set, restricted_grad_oracle, sample_hidden
 from opinionshape.sas import _tick_fast_updates, run_sas, sas_fast_update
 
 from helpers import (
     graph_from_P,
     reference_general_grad_update,
+    reference_gossip_step,
+    reference_hit_law_oracle,
+    reference_restricted_grad_oracle,
     reference_tick_fast_updates,
     reference_value_update,
     reference_w_derivs,
@@ -388,3 +393,51 @@ class TestGeneralOneRow:
         )
         assert got.tobytes() == want.tobytes()
         assert clocks.counts.tolist() == ref_clocks.counts.tolist()
+
+
+@pytest.fixture(scope="module")
+def loop_instances(karate_graph, karate_partition):
+    ring, ring_partition = ring_chords_instance(30, 9, 3, seed=2)
+    free, free_partition = ring_chords_instance(24, 4, 0, seed=5)
+    none, none_partition = ring_chords_instance(20, 0, 3, seed=1)
+    return {
+        "karate": (karate_graph, karate_partition),
+        "ring-mixed": (ring, mixed_curves(ring_partition)),
+        "no-stubborn": (free, free_partition),
+        "no-controls": (none, none_partition),
+    }
+
+
+class TestLoopOracles:
+    """The array forms of ``gossip_step`` and of the partial-observation
+    oracles equal their loops bit for bit."""
+
+    @pytest.mark.parametrize("name", ["karate", "ring-mixed", "no-stubborn", "no-controls"])
+    @pytest.mark.parametrize("mode", ["synchronous", "asynchronous"])
+    def test_gossip_step(self, loop_instances, name, mode):
+        graph, partition = loop_instances[name]
+        activation = ActivationModel(mode, q=np.full(graph.node_count, 0.6) if mode == "asynchronous" else None)
+        u = np.linspace(0.0, 2.0, len(partition.controlled))
+        got, want = initial_state(graph, partition), initial_state(graph, partition)
+        rng_got, rng_want = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(40):
+            got, got_events = gossip_step(got, u, graph, partition, activation, rng_got)
+            want, want_events = reference_gossip_step(want, u, graph, partition, activation, rng_want)
+            assert got.x.tobytes() == want.x.tobytes() and got.k == want.k
+            assert got_events == want_events
+        assert rng_got.random() == rng_want.random()
+
+    @pytest.mark.parametrize("name", ["karate", "ring-mixed", "no-stubborn", "no-controls"])
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    def test_partial_oracles(self, loop_instances, name, fraction):
+        graph, partition = loop_instances[name]
+        u = np.linspace(0.1, 1.5, len(partition.controlled))
+        for seed in range(3):
+            observed = observed_set(partition, sample_hidden(partition, fraction, seed))
+            law, terminal = hit_law_oracle(graph, partition, observed)
+            want_law, want_terminal = reference_hit_law_oracle(graph, partition, observed)
+            assert terminal == want_terminal and law.tobytes() == want_law.tobytes()
+            got = restricted_grad_oracle(graph, partition, observed, u)
+            want = reference_restricted_grad_oracle(graph, partition, observed, u)
+            assert list(got) == list(want)
+            assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()

@@ -225,3 +225,17 @@ def test_non_utf8_config_is_exit_2(tmp_path, capsys):
 def test_config_directory_is_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path)]) == 2
     assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_more_jobs_than_runs_is_exit_0(tmp_path):
+    # the pool gets one worker per run, never the 1e20 asked for
+    config = SRC.parent / "configs" / "karate_sas.cfg"
+    out = tmp_path / "jobs"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "opinionshape.cli", "run", "--config", str(config), "--iters", "3",
+         "--runs", "2", "--jobs", "100000000000000000000", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.glob("*_seed*.csv")) == ["sas_seed0.csv", "sas_seed1.csv"]

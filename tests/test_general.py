@@ -51,6 +51,17 @@ class TestValueOracle:
             atol=1e-12,
         )
 
+    def test_constant_curves_give_the_base_system_bit_for_bit(self, karate_graph, karate_partition):
+        from opinionshape.general import _fixed_point
+        from opinionshape.network import influence_rhs, stationary_system, system_matrix
+
+        model = model_from_partition(karate_partition)
+        for u in (np.zeros(3), np.array([1.0, 0.3, 2.0])):
+            damp, rhs, _ = _fixed_point(karate_partition, model, u)
+            base = stationary_system(karate_graph, karate_partition)
+            assert np.array_equal(system_matrix(karate_graph.P, damp), base)
+            assert np.array_equal(rhs, influence_rhs(karate_partition, u))
+
     def test_payoff_gradient_matches_finite_differences(self, karate_graph, karate_partition, karate_study):
         u = np.array([0.8, 1.1, 0.4])
         _, grad = general_payoff_and_grad(karate_graph, karate_partition, karate_study, u)

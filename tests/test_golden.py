@@ -258,6 +258,16 @@ GOLDEN_EDGES = {
         'partial_seed6.csv': 'fe0a1a3315c8eabee93c3a0708a398c72ed7cb1f8f255855e41a59dfc8bd2fa7',
         'partial_summary.csv': 'd1f33e54fea1e10d4ebda3b28e61a478bab096275e68e0061db7aef1ed2f4b5a',
     },
+    ('karate', 'general-rl', 'anneal_denom', 5): {
+        'general-rl_seed0.csv': 'ebfe341daa82f0f77983cfd475c7a106b8ea14bc86f934d517bd09d336f6ddc9',
+        'general-rl_seed1.csv': 'f8d79fda3a7fc50f24bf2761707c89176f3bd22f4da399f4c6461617dba698cc',
+        'general-rl_summary.csv': 'd3a7cef660864550bdb933078e81ffa3870e4a4f0d8927636d4be9ee227d94c5',
+    },
+    ('karate', 'general-knownp', 'anneal_denom', 5): {
+        'general-knownp_seed0.csv': '6e7fe4f67ec44696ca7dfb5281d9b93152f91534107ba050f51c4b508a56d08f',
+        'general-knownp_seed1.csv': '0a2499f641dbd3cf836a6429da39bd1ea7b57d24fc5a364f849203f757d8b9fc',
+        'general-knownp_summary.csv': '64d30f01c89f2d41d2ae57b2653c728fad0e980559c7ccb00bb6875ef04fd999',
+    },
 }
 
 

@@ -8,16 +8,21 @@ import pickle
 import numpy as np
 import pytest
 
+from opinionshape.curves import SaturatingCurve
 from opinionshape.dynamics import payoff_coefficients
+from opinionshape.errors import InfeasibleError
 from opinionshape.network import (
+    AgentPartition,
     bundled_network_path,
     load_edge_list,
     random_partition,
     stationary_system,
     substochastic_matrix,
 )
+from opinionshape.partial_obs import hit_law_oracle, restricted_grad_oracle
+from opinionshape.sas import exact_grad_table
 
-from helpers import SolveCounter
+from helpers import SolveCounter, graph_from_P
 
 
 @pytest.fixture
@@ -77,3 +82,30 @@ def test_returned_vector_is_read_only(fresh):
     assert graph2._adjoint[1] is coef2
     assert not coef2.flags.writeable
 
+
+
+def two_cycles_instance():
+    """Two closed 2-cycles {0, 1} and {2, 3}; node 0 is controlled with
+    alpha = 0 and no agent is stubborn, so Id - A is Id - P, singular."""
+    P = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
+    partition = AgentPartition(
+        controlled=(0,), uncontrolled=(1, 2, 3), stubborn=(), alpha=np.zeros(4), h={}, w={0: SaturatingCurve()}
+    )
+    return graph_from_P(P), partition
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda graph, partition: exact_grad_table(graph, partition, np.ones(1)),
+        # hidden {2, 3} never reaches a terminal: the absorption system is singular
+        lambda graph, partition: hit_law_oracle(graph, partition, (0, 1)),
+        # nothing hidden: the restricted system is Id - P itself
+        lambda graph, partition: restricted_grad_oracle(graph, partition, (0, 1, 2, 3), np.ones(1)),
+    ],
+    ids=["exact_grad_table", "hit_law_oracle", "restricted_grad_oracle"],
+)
+def test_exact_oracles_raise_infeasible_on_a_singular_system(oracle):
+    graph, partition = two_cycles_instance()
+    with pytest.raises(InfeasibleError, match="singular"):
+        oracle(graph, partition)
