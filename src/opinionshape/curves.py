@@ -3,8 +3,8 @@
 A curve maps a nonnegative control level into [0, 1] and carries its own
 derivative; every gradient-based scheme in the package consumes the pair.
 The built-in curves also evaluate a float array in one call
-(``values``/``derivs``), with the same bits as their scalar methods;
-``values`` takes an array of any shape, a stack of control rows included.
+(``values``/``derivs``), with the same bits as their scalar methods; both
+take an array of any shape, a stack of control rows included, and keep it.
 """
 
 from __future__ import annotations
@@ -45,11 +45,12 @@ class SaturatingCurve:
         # Python's ** is libm pow, which numpy's square and power do not
         # match in the last bit, so the square stays a Python float op
         s = self.scale
-        points = xs.tolist()
+        points = xs.ravel().tolist()
         try:
-            return np.array([s / (x + s) ** 2 for x in points])
+            out = [s / (x + s) ** 2 for x in points]
         except OverflowError:
-            return np.array([self.deriv(x) for x in points])
+            out = [self.deriv(x) for x in points]
+        return np.array(out).reshape(xs.shape)
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class LinearCurve:
             return self.slope * xs
 
     def derivs(self, xs: np.ndarray) -> np.ndarray:
-        return np.full(len(xs), self.slope, dtype=float)
+        return np.full(np.shape(xs), self.slope, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -89,4 +90,4 @@ class ConstantCurve:
         return np.full(np.shape(xs), self.level, dtype=float)
 
     def derivs(self, xs: np.ndarray) -> np.ndarray:
-        return np.zeros(len(xs))
+        return np.zeros(np.shape(xs))

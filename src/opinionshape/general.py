@@ -164,23 +164,6 @@ def sigma_noise(b_k: float, c_k: int, C: float) -> float:
     return C / math.sqrt((1.0 / b_k) * math.log(math.log(c_k)))
 
 
-def _value_relax(
-    values: np.ndarray,
-    pollers: np.ndarray,
-    polled: np.ndarray,
-    damp: np.ndarray,
-    reward: np.ndarray,
-    steps,
-) -> None:
-    """Value relaxations for one tick, in place, reading pre-tick values.
-
-    damp and reward are the fixed point's damp and rhs per poller; value i
-    moves toward reward_i + damp_i * values[polled] by its step a_i.
-    """
-    target = reward + damp * values[polled]
-    values[pollers] += steps * (target - values[pollers])
-
-
 def value_update(
     values: np.ndarray,
     node: int,
@@ -193,14 +176,17 @@ def value_update(
 ) -> np.ndarray:
     """Relax one node's value toward its sampled one-step target.
 
-    The one-row case of the tick's ``_value_relax``; returns a new array.
+    The one-row case of ``sas._tick_fast_updates`` on the value vector,
+    with the fixed point's damp and rhs; returns a new array.
     """
     if node in partition.stubborn:
         return values
     new = values.copy()
     damp, rhs, _ = _fixed_point(partition, model, u)
     rows = np.array([node])
-    _value_relax(new, rows, np.array([probed]), damp[rows], rhs[rows], schedule.a(clocks.value(node)))
+    _tick_fast_updates(
+        new, rows, np.array([probed]), damp[rows], slice(None), rhs[rows], schedule.a(clocks.value(node))
+    )
     clocks.bump([node])
     return new
 
@@ -266,20 +252,28 @@ def known_p_updates(
     schedule: StepSchedule,
     graph: InteractionGraph,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full-expectation versions of the value and sensitivity updates."""
+    """Full-expectation versions of the value and sensitivity updates.
+
+    Two ``sas._tick_fast_updates`` calls on copies, with every
+    non-stubborn row as a poller and the next-state rows read from the full
+    products P @ values and P @ grad_table (a product over a subset of rows
+    may sum in another order).
+    """
     damp, rhs, tables = _fixed_point(partition, model, u)
-    free = partition.node_codes() != STUBBORN
+    codes = partition.node_codes()
+    free = np.flatnonzero(codes != STUBBORN)
     step = schedule.a(k)
 
     mean_v = graph.P @ values
     new_values = values.copy()
-    new_values[free] = values[free] + step * (rhs[free] + damp[free] * mean_v[free] - values[free])
+    _tick_fast_updates(new_values, free, free, damp[free], slice(None), rhs[free], step, source=mean_v)
 
-    idx = list(partition.controlled)
-    target = damp[:, None] * (graph.P @ grad_table)
-    target[idx, np.arange(len(idx))] += _driver(tables, slice(None), mean_v[idx])
+    own_rows, sel, own_cells = owned_cells(codes, free, grad_table.shape[1])
+    driver = _driver(tables, sel, mean_v[free[own_rows]])
     new_table = grad_table.copy()
-    new_table[free] = grad_table[free] + step * (target[free] - grad_table[free])
+    _tick_fast_updates(
+        new_table, free, free, damp[free][:, None], own_cells, driver, step, source=graph.P @ grad_table
+    )
     return new_values, new_table
 
 
@@ -351,8 +345,9 @@ def run_general_rl(
         damp = damp[pollers]
         driver = _driver(tables, sel, values[polled[own_rows]])
         _tick_fast_updates(grad_table, pollers, polled, damp[:, None], own_cells, driver, steps[k])
-        # value relaxation on the same events, reading pre-tick values
-        _value_relax(values, pollers, polled, damp, rhs[pollers], steps[k])
+        # value relaxation on the same events; the driver above read the
+        # pre-tick values
+        _tick_fast_updates(values, pollers, polled, damp, slice(None), rhs[pollers], steps[k])
         return values, grad_table
 
     return _general_loop(

@@ -13,7 +13,7 @@ import csv
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.n_iters < 0:
             raise ConfigError("n_iters must be nonnegative")
+        # a run records n_iters + 1 rows, and numpy refuses a float array
+        # whose byte count does not fit an intp
+        max_rows = np.iinfo(np.intp).max // np.dtype(float).itemsize
+        if self.n_iters + 1 > max_rows:
+            raise ConfigError(f"n_iters must be below {max_rows}: numpy cannot index a longer trajectory")
         if self.n_runs < 1:
             raise ConfigError("n_runs must be at least 1")
         if self.seed < 0:
@@ -84,12 +89,6 @@ class ExperimentConfig:
             raise ConfigError("jobs must be at least 1")
         if min(self.s_size, self.s1_size, self.s0_size) < 0:
             raise ConfigError("partition sizes must be nonnegative")
-
-
-_BOOL_KEYS = {"directed", "weighted"}
-_INT_KEYS = {"s_size", "s1_size", "s0_size", "n_iters", "n_runs", "seed", "denom", "sgd_block", "anneal_denom", "jobs"}
-_FLOAT_KEYS = {"alpha", "budget", "step_a", "step_b", "anneal_c", "observed_fraction", "gd_step_scale"}
-_STR_KEYS = {"network", "scheme", "out_dir"}
 
 
 def parse_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
@@ -129,22 +128,21 @@ def _io_failure(verb: str, what: str, path: Path, exc: OSError | UnicodeDecodeEr
 
 
 def _coerce(key: str, raw: str, where: str):
+    # a field's annotation is a string such as "int | None"; its first
+    # name is the type a value in the file converts to
+    kinds = {f.name: f.type.split(" | ")[0] for f in fields(ExperimentConfig)}
+    if key not in kinds:
+        raise ConfigError(f"{where}: unknown config key {key!r}")
     try:
-        if key in _BOOL_KEYS:
+        if kinds[key] == "bool":
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(f"bad boolean {raw!r}")
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _STR_KEYS:
-            return raw
+        return {"int": int, "float": float, "str": str}[kinds[key]](raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown config key {key!r}")
 
 
 @dataclass
@@ -346,6 +344,7 @@ def timing_report(config: ExperimentConfig, schemes: list[str], n_iters: int = 1
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}")
+    replace(config, n_iters=n_iters).validate()
     report: dict = {}
     instances: dict[bool, Instance] = {}
     for scheme in schemes:

@@ -8,19 +8,24 @@ samples the first-hit law q* of the chain watched only on the observed
 set.  Stubborn agents never poll, hence they terminate tokens whether or
 not they are nominally hidden.
 
-The learner keeps one scalar per observed agent: the sensitivity of that
-agent's restricted value to its own control, relaxed toward the one-step
-target on probe events and pinned at zero on stubborn agents.  Controls
-ascend their own scalar on the slow scale.  This optimizes a surrogate of
-the full payoff, so the logged gap need not reach zero.
+The learner keeps one scalar per observed agent, in a vector over all
+nodes that stays 0 elsewhere, relaxed toward its one-step target on probe
+events and pinned at zero on stubborn agents.  Hidden agents are
+uncontrolled relays, so eliminating them keeps each observed agent's row
+sum of the full sensitivity table: at an observed learner i the scalar's
+fixed point (``restricted_grad_oracle``) equals
+sum_j ``exact_grad_table(u)[i, j]``, whatever the observed set.  The
+scheme's limit therefore does not depend on which agents are hidden.
+Controls ascend their own agent's scalar on the slow scale: a row sum,
+where the payoff gradient is a column sum, so the logged gap need not
+reach zero.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +34,7 @@ from .dynamics import payoff_fn
 from .errors import NonAbsorbingError
 from .network import AgentPartition, InteractionGraph, fixed_point, solve, system_matrix
 from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, run_loop
+from .sas import _tick_fast_updates, owned_cells
 
 HOP_CAP = 10_000_000
 # uniforms per block of a run's relay source.  A run draws up to a block
@@ -174,62 +180,44 @@ def restricted_grad_oracle(
 
 
 def partial_fast_update(
-    grad_vec: dict[int, float],
+    grad_vec: np.ndarray,
     node: int,
     probed: int,
     partition: AgentPartition,
     u: np.ndarray,
     clocks: LocalClocks,
     schedule: StepSchedule,
-) -> dict[int, float]:
+) -> np.ndarray:
     """Relax one scalar toward its probe-event target; stubborn entries stay 0.
 
-    The one-event call of ``_relax_scalars``; returns a new dict.
+    ``grad_vec`` holds one scalar per node.  The one-row case of
+    ``sas._tick_fast_updates`` on that vector, with damp 1 - alpha_i and the
+    driver alpha_i w_i'(u_i) on a controlled node; returns a new array.
     """
     if node in partition.stubborn:
         return grad_vec
-    new = dict(grad_vec)
-    a = partition.alpha[node]
-    pos = partition.control_index().get(node)
-    own = a * partition.w[node].deriv(float(u[pos])) if pos is not None else 0.0
-    step = schedule.a(clocks.value(node))
-    _relax_scalars(new, grad_vec, (node,), (probed,), (1.0 - a,), (own,), (step,))
+    new = grad_vec.copy()
+    rows = np.array([node])
+    own_rows, own_cols, _ = owned_cells(partition.node_codes(), rows, len(partition.controlled))
+    driver = partition.alpha[rows[own_rows]] * partition.w_derivs(u)[own_cols]
+    _tick_fast_updates(
+        new, rows, np.array([probed]), 1.0 - partition.alpha[rows], own_rows, driver,
+        schedule.a(clocks.value(node)),
+    )
     clocks.bump([node])
     return new
 
 
-def _relax_scalars(
-    grad_vec: dict[int, float],
-    snapshot: dict[int, float],
-    nodes: Iterable[int],
-    probed: Iterable[int],
-    survive: Iterable[float],
-    own_terms: Iterable[float],
-    steps: Iterable[float],
-) -> None:
-    """Fast updates against ``snapshot``, written into ``grad_vec``.
-
-    Node i moves to G_i + a_i * (c_i + (1 - alpha_i) G_probed - G_i), with
-    every G read from ``snapshot``; ``survive`` holds 1 - alpha_i and
-    ``own_terms`` holds c_i = alpha_i * w_i'(u_i) on controlled nodes, 0.0
-    elsewhere.
-    """
-    for node, hit, keep, own, step in zip(nodes, probed, survive, own_terms, steps):
-        old = snapshot[node]
-        grad_vec[node] = old + step * (own + keep * snapshot[hit] - old)
-
-
 def partial_slow_update(
     u: np.ndarray,
-    grad_vec: dict[int, float],
+    grad_vec: np.ndarray,
     partition: AgentPartition,
     k: int,
     schedule: StepSchedule,
     budget: float,
 ) -> np.ndarray:
     """Projected ascent of each control along its own scalar estimate."""
-    direction = np.array([grad_vec[node] for node in partition.controlled])
-    return project_budget_simplex(u + schedule.b(k) * direction, budget)
+    return project_budget_simplex(u + schedule.b(k) * grad_vec.take(partition.controlled), budget)
 
 
 def run_partial(
@@ -258,40 +246,35 @@ def run_partial(
     observed_lookup = frozenset(observed)
     stubborn = partition.stubborn_set()
     learners = [node for node in observed if node not in stubborn]
-    alpha = partition.alpha.tolist()
-    survive = [1.0 - alpha[node] for node in learners]
-    ctrl_index = partition.control_index()
-    # (row among the learners, control position, alpha) per controlled agent
-    owners = [(row, ctrl_index[node], alpha[node]) for row, node in enumerate(learners) if node in ctrl_index]
+    rows = np.array(learners, dtype=np.intp)
+    survive = 1.0 - partition.alpha[rows]
     n_ctrl = len(partition.controlled)
+    own_rows, own_cols, _ = owned_cells(partition.node_codes(), rows, n_ctrl)
+    own_alpha = partition.alpha[rows[own_rows]]
     u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
-    grad_vec = {node: 0.0 for node in observed}
+    grad_vec = np.zeros(partition.node_count)
     # every learner updates once per tick, so every local clock reads k
-    tick_steps = schedule.a(np.arange(n_iters)).tolist()
+    tick_steps = schedule.a(np.arange(n_iters))
 
     hop_totals = 0
 
     def tick(k, u):
         nonlocal hop_totals
-        snapshot = dict(grad_vec)
-        steps = repeat(tick_steps[k])
-        own_terms = [0.0] * len(learners)
-        w_der = partition.w_derivs(u).tolist()
-        for row, pos, a in owners:
-            own_terms[row] = a * w_der[pos]
         probed = []
         for node in learners:
             token = relay_token(graph, partition, observed_lookup, node, uniforms, k)
             probed.append(token.terminal)
             hop_totals += token.hops
-        _relax_scalars(grad_vec, snapshot, learners, probed, survive, own_terms, steps)
+        driver = own_alpha * partition.w_derivs(u)[own_cols]
+        polled = np.array(probed, dtype=np.intp)
+        _tick_fast_updates(grad_vec, rows, polled, survive, own_rows, driver, tick_steps[k])
         if n_ctrl:
             u = partial_slow_update(u, grad_vec, partition, k, schedule, budget)
         return u
 
     traj = run_loop("partial", u, n_iters, tick, payoff_fn(graph, partition), payoff_star)
     traj.extras = {
-        "grad_vec": dict(grad_vec),
+        "grad_vec": grad_vec.copy(),
         "observed": observed,
         "hidden": set(hidden),
         "mean_hops": hop_totals / max(1, n_iters * max(1, len(learners))),

@@ -85,22 +85,29 @@ def _tick_fast_updates(
     own_cells: np.ndarray,
     driver: np.ndarray,
     steps,
+    source: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized fast updates for one tick, reading pre-tick table values.
 
-    damp is the column (1 - alpha_i) per poller.  own_cells are the flat
-    indices, in the pollers x controls block, of each owned control's cell
-    (see ``owned_cells``), and driver holds alpha_i * w_i'(u_i) for each.
-    steps is a(nu_i) as a column per poller, or one scalar when every clock
-    agrees.  Row i moves to G_i + a_i * ((1 - alpha_i) G_polled + driver -
-    G_i), computed in place on one gathered block, which is written back and
-    returned.  Synchronous runners build damp and the owned cells once per
-    run.
+    The one fast-scale relaxation of every learner: row i moves to
+    G_i + a_i * (damp_i G_next + driver - G_i), computed in place on one
+    gathered block, which is written back and returned.  G_next is row
+    ``polled`` of the table, or of ``source`` when given (the known-matrix
+    sweep passes its expectation P @ G there).  The table is a pollers x
+    controls sensitivity table or a 1-D vector of values or scalars.
+
+    damp is the fixed point's damp per poller (1 - alpha_i in ``sas``), a
+    column for a 2-D table.  own_cells are the flat indices, in the gathered
+    block, of the cells that get a driver (see ``owned_cells``;
+    ``slice(None)`` for all of a vector), and driver holds their terms,
+    alpha_i * w_i'(u_i) in ``sas``.  steps is a(nu_i) as a column per
+    poller, or one scalar when every clock agrees.  Synchronous runners
+    build damp and the owned cells once per run.
     """
     # take copies rows without the fancy-indexing machinery; its fresh
     # C-ordered result makes ravel() a view
     rows = grad_table.take(pollers, axis=0)
-    block = grad_table.take(polled, axis=0)
+    block = (grad_table if source is None else source).take(polled, axis=0)
     block *= damp
     block.ravel()[own_cells] += driver
     block -= rows

@@ -12,7 +12,7 @@ import numpy as np
 from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
 from opinionshape.dynamics import OpinionState, PollEvent, payoff_coefficients, payoff_fn, sample_poll_targets
 from opinionshape.errors import DivergenceError, NonAbsorbingError
-from opinionshape.general import GeneralModel
+from opinionshape.general import GeneralModel, _driver, _fixed_point
 from opinionshape.network import STUBBORN, AgentPartition, InteractionGraph, PollTable, random_partition
 from opinionshape.optim import LocalClocks, StepSchedule, Trajectory
 from opinionshape.partial_obs import HOP_CAP, Token
@@ -473,6 +473,58 @@ def reference_general_grad_update(
     new[node] = grad_table[node] + step * (target - grad_table[node])
     clocks.bump([node])
     return new
+
+
+def reference_known_p_updates(
+    values: np.ndarray,
+    grad_table: np.ndarray,
+    partition: AgentPartition,
+    model: GeneralModel,
+    u: np.ndarray,
+    k: int,
+    schedule: StepSchedule,
+    graph: InteractionGraph,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``general.known_p_updates`` written out on whole arrays, the oracle for
+    its two ``sas._tick_fast_updates`` calls: full-expectation versions of
+    the value and sensitivity updates."""
+    damp, rhs, tables = _fixed_point(partition, model, u)
+    free = partition.node_codes() != STUBBORN
+    step = schedule.a(k)
+
+    mean_v = graph.P @ values
+    new_values = values.copy()
+    new_values[free] = values[free] + step * (rhs[free] + damp[free] * mean_v[free] - values[free])
+
+    idx = list(partition.controlled)
+    target = damp[:, None] * (graph.P @ grad_table)
+    target[idx, np.arange(len(idx))] += _driver(tables, slice(None), mean_v[idx])
+    new_table = grad_table.copy()
+    new_table[free] = grad_table[free] + step * (target[free] - grad_table[free])
+    return new_values, new_table
+
+
+def reference_relax_scalars(
+    grad_vec: dict[int, float],
+    snapshot: dict[int, float],
+    nodes,
+    probed,
+    survive,
+    own_terms,
+    steps,
+) -> None:
+    """``partial_obs.run_partial``'s relaxation as a loop over Python floats,
+    the oracle for its ``sas._tick_fast_updates`` call: fast updates against
+    ``snapshot``, written into ``grad_vec``.
+
+    Node i moves to G_i + a_i * (c_i + (1 - alpha_i) G_probed - G_i), with
+    every G read from ``snapshot``; ``survive`` holds 1 - alpha_i and
+    ``own_terms`` holds c_i = alpha_i * w_i'(u_i) on controlled nodes, 0.0
+    elsewhere.
+    """
+    for node, hit, keep, own, step in zip(nodes, probed, survive, own_terms, steps):
+        old = snapshot[node]
+        grad_vec[node] = old + step * (own + keep * snapshot[hit] - old)
 
 
 def reference_project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from opinionshape import sas
 from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
 from opinionshape.dynamics import gossip_step, initial_state, payoff_fn
 from opinionshape.errors import DivergenceError
-from opinionshape.general import GeneralModel, general_grad_update, value_update
+from opinionshape.general import GeneralModel, general_grad_update, known_p_updates, value_update
 from opinionshape.network import ActivationModel, AgentPartition
 from opinionshape.optim import LocalClocks, StepSchedule
 from opinionshape.partial_obs import hit_law_oracle, observed_set, restricted_grad_oracle, sample_hidden
@@ -28,6 +28,8 @@ from helpers import (
     reference_general_grad_update,
     reference_gossip_step,
     reference_hit_law_oracle,
+    reference_known_p_updates,
+    reference_relax_scalars,
     reference_restricted_grad_oracle,
     reference_tick_fast_updates,
     reference_value_update,
@@ -253,9 +255,23 @@ def mixed_curves(partition: AgentPartition) -> AgentPartition:
     return replace(partition, w={node: pool[pos % 3] for pos, node in enumerate(partition.controlled)})
 
 
+def shared_curve(partition: AgentPartition, curve) -> AgentPartition:
+    """Every control shares one curve object: one group, no scatter."""
+    return replace(partition, w={node: curve for node in partition.controlled})
+
+
+def draw_stack(data, n_rows: int, n_ctrl: int) -> np.ndarray:
+    """n_rows control rows, uniform on [0, 5], up to three of them drawn from CONTROLS."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    us = rng.uniform(0.0, 5.0, (n_rows, n_ctrl))
+    for row in data.draw(st.lists(st.integers(0, n_rows - 1), max_size=3)):
+        us[row] = data.draw(st.lists(CONTROLS, min_size=n_ctrl, max_size=n_ctrl))
+    return us
+
+
 class TestStackedPayoff:
-    """payoff_fn's closure on a stack of control rows equals its one-vector
-    calls, row by row, bit for bit."""
+    """payoff_fn's closure and the reward-curve derivatives on a stack of
+    control rows equal their one-vector calls, row by row, bit for bit."""
 
     @pytest.fixture(scope="class")
     def instances(self, karate_graph, karate_partition):
@@ -265,6 +281,8 @@ class TestStackedPayoff:
         return {
             "karate": (karate_graph, karate_partition),
             "karate-mixed": (karate_graph, mixed_curves(karate_partition)),
+            "karate-linear": (karate_graph, shared_curve(karate_partition, LinearCurve(0.2))),
+            "karate-constant": (karate_graph, shared_curve(karate_partition, ConstantCurve(0.4))),
             "ring-mixed": (ring, mixed_curves(ring_partition)),
             # 80 controls: dot products long enough for BLAS's vector kernel
             "wide": (wide, wide_partition),
@@ -278,14 +296,25 @@ class TestStackedPayoff:
         graph, partition = instances[name]
         n_ctrl = len(partition.controlled)
         n_rows = data.draw(st.integers(1, 50))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        us = rng.uniform(0.0, 5.0, (n_rows, n_ctrl))
-        for row in data.draw(st.lists(st.integers(0, n_rows - 1), max_size=3)):
-            us[row] = data.draw(st.lists(CONTROLS, min_size=n_ctrl, max_size=n_ctrl))
+        us = draw_stack(data, n_rows, n_ctrl)
         payoff = payoff_fn(graph, partition)
         got = payoff(us)
         assert got.shape == (n_rows,)
         assert got.tobytes() == np.array([payoff(u) for u in us]).tobytes()
+
+    @pytest.mark.parametrize(
+        "name", ["karate", "karate-linear", "karate-constant", "karate-mixed", "ring-mixed", "wide", "no-controls"]
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_w_derivs_stack_matches_rows(self, instances, name, data):
+        partition = instances[name][1]
+        n_ctrl = len(partition.controlled)
+        n_rows = data.draw(st.integers(1, 20))
+        us = draw_stack(data, n_rows, n_ctrl)
+        got = partition.w_derivs(us)
+        assert got.shape == (n_rows, n_ctrl)
+        assert got.tobytes() == np.array([partition.w_derivs(u) for u in us]).reshape(n_rows, n_ctrl).tobytes()
 
 
 def ring_with_last_controlled(n: int = 6):
@@ -393,6 +422,54 @@ class TestGeneralOneRow:
         )
         assert got.tobytes() == want.tobytes()
         assert clocks.counts.tolist() == ref_clocks.counts.tolist()
+
+
+@st.composite
+def scalar_tick_cases(draw):
+    """A scalar vector, a tick's learners and probes, alpha, the learners'
+    own terms and one step, as ``run_partial`` hands them to the kernel."""
+    n = draw(st.integers(1, 10))
+    vec = np.array(draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n)))
+    learners = sorted(draw(st.sets(st.integers(0, n - 1))))
+    m = len(learners)
+    probed = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    alpha = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    owners = sorted(draw(st.sets(st.integers(0, m - 1)))) if m else []
+    own_terms = [0.0] * m
+    for row in owners:
+        own_terms[row] = draw(st.floats(0.0, 10.0))
+    return vec, learners, probed, alpha, owners, own_terms, draw(st.floats(0.0, 1.0))
+
+
+class TestKernelCallers:
+    """``run_partial``'s scalar tick and ``known_p_updates`` on the one tick
+    kernel equal the loop and whole-array sweeps they replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=scalar_tick_cases())
+    def test_scalar_tick_matches_previous_loop(self, case):
+        vec, learners, probed, alpha, owners, own_terms, step = case
+        rows = np.array(learners, dtype=np.intp)
+        got = vec.copy()
+        _tick_fast_updates(
+            got, rows, np.array(probed, dtype=np.intp), 1.0 - alpha[rows], np.array(owners, dtype=np.intp),
+            np.array([own_terms[row] for row in owners]), np.float64(step),
+        )
+        want = dict(enumerate(vec.tolist()))
+        survive = [1.0 - a for a in alpha[rows].tolist()]
+        reference_relax_scalars(want, dict(want), learners, probed, survive, own_terms, [step] * len(learners))
+        assert got.tobytes() == np.array(list(want.values())).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=general_event_cases(), seed=st.integers(0, 2**32 - 1), k=st.integers(0, 10_000))
+    def test_known_p_updates_match_previous_sweep(self, case, seed, k):
+        partition, model, table, values, u, _, _, _, schedule = case
+        n = partition.node_count
+        graph = graph_from_P(np.random.default_rng(seed).dirichlet(np.ones(n), size=n))
+        got = known_p_updates(values, table, partition, model, u, k, schedule, graph)
+        want = reference_known_p_updates(values, table, partition, model, u, k, schedule, graph)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 @pytest.fixture(scope="module")

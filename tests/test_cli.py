@@ -158,6 +158,23 @@ def test_denom_too_large_for_a_float_is_exit_2(tmp_path, capsys):
     assert "denom" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["sas", "partial"])
+def test_iters_past_what_numpy_can_index_is_exit_2(tmp_path, capsys, scheme):
+    # a float array of 1e23 + 1 rows has more bytes than an intp counts
+    config = SRC.parent / "configs" / "karate_sas.cfg"
+    out = tmp_path / "iters"
+    argv = ["run", "--config", str(config), "--scheme", scheme, "--iters", str(10**23), "--runs", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert "n_iters" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_timing_iters_past_what_numpy_can_index_is_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, out_dir=tmp_path / "t")
+    assert main(["timing", "--config", str(cfg), "--schemes", "sas", "--timing-iters", str(10**23)]) == 2
+    assert "n_iters" in capsys.readouterr().err
+
+
 def test_diverging_sas_is_exit_3(tmp_path, capsys):
     # a fast step of 5 overshoots the sensitivity fixed point and blows up
     cfg = write_config(tmp_path, step_a=5.0, out_dir=tmp_path / "div")

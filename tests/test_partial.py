@@ -119,6 +119,24 @@ class TestRestrictedOracle:
         for node in range(34):
             assert restricted[node] == pytest.approx(full[node].sum(), abs=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        u=st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3),
+    )
+    def test_observed_values_are_row_sums_of_full_table(self, karate_graph, karate_partition, fraction, seed, u):
+        # hidden agents are uncontrolled relays: eliminating them reroutes
+        # the chain but keeps each observed row sum, so the scheme's limit
+        # does not depend on the observed set
+        u = np.array(u)
+        observed = observed_set(karate_partition, sample_hidden(karate_partition, fraction, seed))
+        row_sums = exact_grad_table(karate_graph, karate_partition, u).sum(axis=1)
+        restricted = restricted_grad_oracle(karate_graph, karate_partition, observed, u)
+        assert sorted(restricted) == list(observed)
+        for node in observed:
+            assert restricted[node] == pytest.approx(row_sums[node], rel=1e-12, abs=1e-14)
+
     def test_stubborn_entries_zero(self, karate_graph, karate_partition, karate_observed):
         out = restricted_grad_oracle(karate_graph, karate_partition, karate_observed, np.zeros(3))
         for i in karate_partition.stubborn:
@@ -129,7 +147,9 @@ class TestFastUpdate:
     def test_fixed_point_has_zero_expected_drift(self, karate_graph, karate_partition, karate_observed, schedule):
         u = np.array([0.5, 0.5, 0.5])
         law, terminal = hit_law_oracle(karate_graph, karate_partition, karate_observed)
-        fixed = restricted_grad_oracle(karate_graph, karate_partition, karate_observed, u)
+        oracle = restricted_grad_oracle(karate_graph, karate_partition, karate_observed, u)
+        fixed = np.zeros(34)
+        fixed[list(oracle)] = list(oracle.values())
         node = karate_partition.controlled[0]
         drift = 0.0
         for other in terminal:
@@ -149,32 +169,31 @@ class TestFastUpdate:
             w={0: SaturatingCurve(0.1)},
         )
         u = np.array([0.2])
-        grad_vec = {0: 0.0, 2: 0.0}
+        grad_vec = np.zeros(3)
         clocks = LocalClocks.zeros(3)
         for _ in range(200):
             grad_vec = partial_fast_update(grad_vec, 0, 2, partition, u, clocks, schedule)
         assert grad_vec[0] == pytest.approx(partition.w[0].deriv(0.2), abs=1e-6)
 
     def test_stubborn_update_ignored(self, karate_partition, schedule):
-        grad_vec = {n: 1.0 for n in range(34)}
+        grad_vec = np.ones(34)
         clocks = LocalClocks.zeros(34)
         stub = karate_partition.stubborn[0]
         out = partial_fast_update(grad_vec, stub, 0, karate_partition, np.zeros(3), clocks, schedule)
-        assert out == grad_vec
+        assert np.array_equal(out, grad_vec)
 
 
 class TestSlowUpdate:
     def test_zero_estimate_keeps_control(self, karate_partition, schedule, budget):
         u = np.array([1.0, 1.0, 1.0])
-        grad_vec = {n: 0.0 for n in range(34)}
+        grad_vec = np.zeros(34)
         out = partial_slow_update(u, grad_vec, karate_partition, 5, schedule, budget)
         assert np.array_equal(out, u)
 
     def test_positive_estimates_increase_interior_control(self, karate_partition, schedule, budget):
         u = np.array([0.2, 0.2, 0.2])
-        grad_vec = {n: 0.0 for n in range(34)}
-        for n in karate_partition.controlled:
-            grad_vec[n] = 0.05
+        grad_vec = np.zeros(34)
+        grad_vec[list(karate_partition.controlled)] = 0.05
         out = partial_slow_update(u, grad_vec, karate_partition, 100_000, schedule, budget)
         assert out.sum() < budget
         assert np.all(out > u)
