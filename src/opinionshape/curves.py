@@ -5,14 +5,24 @@ derivative; every gradient-based scheme in the package consumes the pair.
 The built-in curves also evaluate a float array in one call
 (``values``/``derivs``), with the same bits as their scalar methods; both
 take an array of any shape, a stack of control rows included, and keep it.
+
+A curve may also offer ``bisection_brackets(gains, budget)``, certified
+bounds on the inner bisection of ``optim.exact_optimum``; a curve without
+it is bisected exactly, as before.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
+
+# values inside this range are normal doubles with room to spare, so each
+# IEEE operation on them rounds with a relative error under one ulp
+_SAFE_LO = 2.0**-1000
+_SAFE_HI = 2.0**1000
 
 
 class Curve(Protocol):
@@ -51,6 +61,56 @@ class SaturatingCurve:
         except OverflowError:
             out = [self.deriv(x) for x in points]
         return np.array(out).reshape(xs.shape)
+
+    def bisection_brackets(self, gains: np.ndarray, budget: float):
+        """Certified bounds on ``exact_optimum``'s inner bisection, or None.
+
+        Returns a function of a level lam giving arrays (lo, hi) with
+        lo <= r <= hi per gain g, where r is the result of bisecting
+        g * deriv(x) >= lam over [0, budget], at most 100 steps; or None at
+        a lam it cannot bound.  The exact marginal g * s / (x + s)^2 crosses
+        lam at sqrt(g * s / lam) - s.  While every value involved lies in
+        [2^-1000, 2^1000], each operation of ``deriv`` and of that estimate
+        rounds within an ulp, so the computed test switches a few ulps of
+        sqrt(g * s / lam) from the estimate.  The bracket widens it by 1024
+        of those ulps, by budget * 2^-99 for the step cap and by an ulp of
+        budget, then clips it to [0, budget].  The whole function is None
+        when ``deriv`` can overflow on [0, budget] or underflow at 0.
+        """
+        s = self.scale
+        try:
+            if not (s > 0.0 and s * s >= _SAFE_LO and math.isfinite((budget + s) ** 2)):
+                return None
+        except OverflowError:
+            return None
+        gs = gains * s
+        g_min, g_max = float(gains.min()), float(gains.max())
+        gs_min, gs_max = float(gs.min()), float(gs.max())
+        # written so that NaN fails too
+        if not (_SAFE_LO <= min(g_min, gs_min) and max(g_max, gs_max) <= _SAFE_HI):
+            return None
+        pad = budget * 2.0**-99 + math.ulp(budget)
+
+        def brackets(lam: float) -> tuple[np.ndarray, np.ndarray] | None:
+            # the extremes bound every g * s / lam and lam / g
+            if not (
+                _SAFE_LO <= lam <= _SAFE_HI
+                and _SAFE_LO <= gs_min / lam
+                and gs_max / lam <= _SAFE_HI
+                and _SAFE_LO <= lam / g_max
+                and lam / g_min <= _SAFE_HI
+            ):
+                return None
+            root = np.sqrt(gs / lam)
+            width = np.spacing(root)
+            width *= 1024.0
+            width += pad
+            est = root - s
+            lo = np.minimum(np.maximum(est - width, 0.0), budget)
+            hi = np.minimum(np.maximum(est + width, 0.0), budget)
+            return lo, hi
+
+        return brackets
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,9 @@ def payoff_fn(graph: InteractionGraph, partition: AgentPartition) -> Callable[[n
     product with precomputed coefficients.  The closure takes one control
     vector (a float back) or a stack of them, one per row (an array back).
     Both take one path: one ``w_values`` call on the stack, a single vector
-    being its one row, then the same dot product per row.
+    being its one row, then one stacked product that takes the dot product
+    of each row with the coefficients on its own (a plain ``W @ c_ctrl``
+    sums in another order and differs in the last bit).
     """
     coef = payoff_coefficients(graph, partition)
     base = sum(coef[i] * partition.h[i] for i in partition.stubborn)
@@ -136,8 +138,9 @@ def payoff_fn(graph: InteractionGraph, partition: AgentPartition) -> Callable[[n
     c_ctrl = coef[idx] * partition.alpha[idx]
 
     def payoff(u: np.ndarray) -> float | np.ndarray:
-        # without controls each c_ctrl @ row is 0.0
-        rows = base + np.array([c_ctrl @ row for row in partition.w_values(np.atleast_2d(u))])
+        # without controls each row's product is 0.0
+        W = partition.w_values(np.atleast_2d(u))
+        rows = base + (W[:, None, :] @ c_ctrl)[:, 0]
         return rows if np.ndim(u) == 2 else float(rows[0])
 
     return payoff

@@ -445,19 +445,22 @@ def load_edge_list(
     labels = sorted({n for s, d, _ in raw for n in (s, d)})
     index = {label: i for i, label in enumerate(labels)}
     n = len(labels)
+    edges = tuple((index[s], index[d], w) for s, d, w in raw)
+    src, dst, weights = (np.array(column) for column in zip(*edges))
+    if not directed:
+        # each arc, then its reverse unless it is a loop, so that repeated
+        # arcs add up in the file's order
+        keep = np.column_stack([np.ones(len(edges), dtype=bool), src != dst]).ravel()
+        src, dst = np.column_stack([src, dst]).ravel()[keep], np.column_stack([dst, src]).ravel()[keep]
+        weights = np.repeat(weights, 2)[keep]
     adjacency = np.zeros((n, n))
-    edges = []
-    for s, d, w in raw:
-        i, j = index[s], index[d]
-        adjacency[i, j] += w
-        if not directed and i != j:
-            adjacency[j, i] += w
-        edges.append((i, j, w))
+    # unbuffered and in index order, so repeats add up as a loop would
+    np.add.at(adjacency.ravel(), src * n + dst, weights)
     P = row_normalize(adjacency)
     names = {i: label for label, i in index.items()}
     return InteractionGraph(
         node_count=n,
-        edges=tuple(edges),
+        edges=edges,
         P=P,
         names=names,
         undirected=not directed,

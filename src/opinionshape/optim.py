@@ -223,6 +223,11 @@ def exact_optimum(
     of the bracket ends decide the test once they stop straddling the
     budget.  The result is bit-identical to bisecting every control from
     [0, budget] at every probe.
+
+    When every curve offers certified bounds on its bisection result
+    (``bisection_brackets``) and every gain is positive, a probe first sums
+    those: by the same monotone sum, a lower sum above the budget or an
+    upper sum within it decides the probe without bisecting at all.
     """
     idx = list(partition.controlled)
     payoff = payoff_fn(graph, partition)
@@ -300,17 +305,35 @@ def exact_optimum(
                 else:
                     low[pos] = high[pos] = mid
             live = deeper
-            if not exact and not (low.sum() <= budget < high.sum()):
-                break
+            if not exact:
+                with np.errstate(over="ignore"):
+                    if not low.sum() <= budget < high.sum():
+                        break
         return low
+
+    brackets = _bisection_brackets(partition, np.array(gains), budget)
+
+    def exceeds(lam: float) -> bool:
+        """Whether the bisection results at lam sum above the budget."""
+        bounds = None if brackets is None else brackets(lam)
+        if bounds is not None:
+            # no overflow: brackets exist only for budgets below 2^512
+            if bounds[0].sum() > budget:
+                return True
+            if bounds[1].sum() <= budget:
+                return False
+        with np.errstate(over="ignore"):
+            return control_at(lam, lam_lo, lam_hi, exact=False).sum() > budget
 
     lam_lo = 0.0
     u_star = control_at(0.0, lam_lo, lam_hi, exact=True)
-    if u_star.sum() <= budget:
-        return u_star, payoff(u_star)
+    # at a huge budget the controls can sum past the float range: inf > budget
+    with np.errstate(over="ignore"):
+        if u_star.sum() <= budget:
+            return u_star, payoff(u_star)
     for _ in range(200):
         lam = 0.5 * (lam_lo + lam_hi)
-        if control_at(lam, lam_lo, lam_hi, exact=False).sum() > budget:
+        if exceeds(lam):
             lam_lo = lam
         else:
             lam_hi = lam
@@ -318,10 +341,41 @@ def exact_optimum(
             break
     u_star = control_at(lam_hi, lam_lo, lam_hi, exact=True)
     # land exactly on the face when the budget binds
-    s = u_star.sum()
+    with np.errstate(over="ignore"):
+        s = u_star.sum()
     if s > 0:
         u_star = u_star * (budget / s) if abs(s - budget) < 1e-6 else u_star
     return u_star, payoff(u_star)
+
+
+def _bisection_brackets(partition: AgentPartition, gains: np.ndarray, budget: float):
+    """A function lam -> (lo, hi) bounding every control's bisection result
+    at lam (or None at a lam some curve cannot bound), from each curve's
+    ``bisection_brackets``; None unless every gain is positive and every
+    curve offers bounds that hold on [0, budget]."""
+    if not np.all(gains > 0.0):
+        return None
+    parts = []
+    for curve, positions in partition.curve_groups():
+        make = getattr(curve, "bisection_brackets", None)
+        part = None if make is None else make(gains[positions], budget)
+        if part is None:
+            return None
+        parts.append((positions, part))
+    if len(parts) == 1:
+        # one curve covers every control, in control order
+        return parts[0][1]
+
+    def brackets(lam: float) -> tuple[np.ndarray, np.ndarray] | None:
+        low, high = np.empty(len(gains)), np.empty(len(gains))
+        for positions, part in parts:
+            bounds = part(lam)
+            if bounds is None:
+                return None
+            low[positions], high[positions] = bounds
+        return low, high
+
+    return brackets
 
 
 def stationarity_residual(

@@ -11,9 +11,9 @@ import numpy as np
 
 from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
 from opinionshape.dynamics import OpinionState, PollEvent, payoff_coefficients, payoff_fn, sample_poll_targets
-from opinionshape.errors import DivergenceError, NonAbsorbingError
+from opinionshape.errors import DivergenceError, EdgeListParseError, NonAbsorbingError
 from opinionshape.general import GeneralModel, _driver, _fixed_point
-from opinionshape.network import STUBBORN, AgentPartition, InteractionGraph, PollTable, random_partition
+from opinionshape.network import STUBBORN, AgentPartition, InteractionGraph, PollTable, random_partition, row_normalize
 from opinionshape.optim import LocalClocks, StepSchedule, Trajectory
 from opinionshape.partial_obs import HOP_CAP, Token
 from opinionshape.sgd import WALK_STEP_CAP
@@ -118,6 +118,28 @@ def ring_chords_instance(n: int, n_controlled: int, n_stubborn: int, seed: int):
     return graph, random_partition(graph, sizes, 0.6, seed=seed)
 
 
+def reference_bisection(g: float, curve, lam: float, budget: float) -> float:
+    """Largest u in [0, budget] with g * w'(u) >= lam, by bisection from
+    [0, budget] with at most 100 steps: ``exact_optimum``'s inner search."""
+    if g * curve.deriv(0.0) <= lam:
+        return 0.0
+    if g * curve.deriv(budget) >= lam:
+        return budget
+    # invariant: the test below holds at lo and fails at hi, so once mid
+    # rounds onto lo or hi every further step rewrites the same value and
+    # stopping leaves (lo, hi) exactly as 100 steps would
+    lo, hi = 0.0, budget
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if g * curve.deriv(mid) >= lam:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def reference_exact_optimum(
     graph: InteractionGraph,
     partition: AgentPartition,
@@ -136,40 +158,21 @@ def reference_exact_optimum(
     curves = [partition.w[i] for i in idx]
 
     def control_at(lam: float) -> np.ndarray:
-        # largest u in [0, budget] with gain * w'(u) >= lam, per control
-        out = np.zeros(len(idx))
-        for pos, (g, curve) in enumerate(zip(gains, curves)):
-            if g * curve.deriv(0.0) <= lam:
-                continue
-            if g * curve.deriv(budget) >= lam:
-                out[pos] = budget
-                continue
-            # invariant: the test below holds at lo and fails at hi, so once
-            # mid rounds onto lo or hi every further step rewrites the same
-            # value and stopping leaves (lo, hi) exactly as 100 steps would
-            lo, hi = 0.0, budget
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                if g * curve.deriv(mid) >= lam:
-                    lo = mid
-                else:
-                    hi = mid
-            out[pos] = 0.5 * (lo + hi)
-        return out
+        return np.array([reference_bisection(g, curve, lam, budget) for g, curve in zip(gains, curves)])
 
     lam_hi = max(g * c.deriv(0.0) for g, c in zip(gains, curves))
     if lam_hi <= 0.0:
         u_star = np.zeros(len(idx))
         return u_star, payoff(u_star)
     u_star = control_at(0.0)
-    if u_star.sum() <= budget:
-        return u_star, payoff(u_star)
+    with np.errstate(over="ignore"):
+        if u_star.sum() <= budget:
+            return u_star, payoff(u_star)
     lam_lo = 0.0
     for _ in range(200):
         lam = 0.5 * (lam_lo + lam_hi)
-        total = control_at(lam).sum()
+        with np.errstate(over="ignore"):
+            total = control_at(lam).sum()
         if total > budget:
             lam_lo = lam
         else:
@@ -178,10 +181,73 @@ def reference_exact_optimum(
             break
     u_star = control_at(lam_hi)
     # land exactly on the face when the budget binds
-    s = u_star.sum()
+    with np.errstate(over="ignore"):
+        s = u_star.sum()
     if s > 0:
         u_star = u_star * (budget / s) if abs(s - budget) < 1e-6 else u_star
     return u_star, payoff(u_star)
+
+
+def reference_payoff(graph: InteractionGraph, partition: AgentPartition, u: np.ndarray):
+    """``dynamics.payoff_fn`` as it was before the stacked product: one
+    ``c_ctrl @ row`` per row."""
+    coef = payoff_coefficients(graph, partition)
+    base = sum(coef[i] * partition.h[i] for i in partition.stubborn)
+    idx = list(partition.controlled)
+    c_ctrl = coef[idx] * partition.alpha[idx]
+    rows = base + np.array([c_ctrl @ row for row in partition.w_values(np.atleast_2d(u))])
+    return rows if np.ndim(u) == 2 else float(rows[0])
+
+
+def reference_load_edge_list(path, weighted: bool | None = None, directed: bool = False) -> InteractionGraph:
+    """``network.load_edge_list`` as it was before the one ``np.add.at``
+    scatter: one Python ``+=`` per arc and per reverse arc, in file order."""
+    raw: list[tuple[int, int, float]] = []
+    with Path(path).open(encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            parts = text.split()
+            if weighted is None:
+                weighted = len(parts) == 3
+            expected = 3 if weighted else 2
+            if len(parts) != expected:
+                raise EdgeListParseError(line_no, f"expected {expected} columns, got {len(parts)}")
+            try:
+                src, dst = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise EdgeListParseError(line_no, f"node ids must be integers: {text!r}") from None
+            if weighted:
+                try:
+                    w = float(parts[2])
+                except ValueError:
+                    raise EdgeListParseError(line_no, f"bad weight: {parts[2]!r}") from None
+                if w < 0.0 or not np.isfinite(w):
+                    raise EdgeListParseError(line_no, f"weight must be finite and nonnegative: {w}")
+            else:
+                w = 1.0
+            raw.append((src, dst, w))
+    if not raw:
+        raise EdgeListParseError(0, "edge list is empty")
+    labels = sorted({n for s, d, _ in raw for n in (s, d)})
+    index = {label: i for i, label in enumerate(labels)}
+    n = len(labels)
+    adjacency = np.zeros((n, n))
+    edges = []
+    for s, d, w in raw:
+        i, j = index[s], index[d]
+        adjacency[i, j] += w
+        if not directed and i != j:
+            adjacency[j, i] += w
+        edges.append((i, j, w))
+    return InteractionGraph(
+        node_count=n,
+        edges=tuple(edges),
+        P=row_normalize(adjacency),
+        names={i: label for label, i in index.items()},
+        undirected=not directed,
+    )
 
 
 def reference_poll_draw(table: PollTable, rows, r: np.ndarray) -> np.ndarray:

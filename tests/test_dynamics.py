@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from opinionshape import dynamics
 from opinionshape.curves import SaturatingCurve
 from opinionshape.dynamics import (
     empirical_mean_opinion,
@@ -13,10 +14,18 @@ from opinionshape.dynamics import (
     stationary_opinion,
     total_payoff,
 )
+from opinionshape.errors import InfeasibleError
 from opinionshape.network import ActivationModel, AgentPartition
 from opinionshape.optim import project_budget_simplex
 
-from helpers import all_stubborn_instance, chain_instance, graph_from_P, random_instance
+from helpers import (
+    all_stubborn_instance,
+    chain_instance,
+    graph_from_P,
+    random_instance,
+    reference_payoff,
+    ring_chords_instance,
+)
 
 SYNC = ActivationModel("synchronous")
 
@@ -120,6 +129,21 @@ class TestStationaryOpinion:
             assert np.all(x >= -1e-12) and np.all(x <= 1.0 + 1e-12)
 
 
+    def test_residual_above_tolerance_raises(self, karate_graph, karate_partition, monkeypatch):
+        # a solve off by 1e-8 in one entry, refinement included, leaves a
+        # residual of about 1e-8: above RESIDUAL_TOL, far below 1e-6
+        exact = dynamics.solve
+
+        def off_solve(system, rhs):
+            x = exact(system, rhs)
+            x[0] += 1e-8
+            return x
+
+        monkeypatch.setattr(dynamics, "solve", off_solve)
+        with pytest.raises(InfeasibleError, match="residual"):
+            stationary_opinion(karate_graph, karate_partition, np.array([1.0, 2.0, 0.5]))
+
+
 class TestTotalPayoff:
     def test_all_stubborn_half(self):
         graph, partition = all_stubborn_instance(4, 0.5)
@@ -139,6 +163,20 @@ class TestTotalPayoff:
                 bumped = u.copy()
                 bumped[pos] += 0.05
                 assert total_payoff(graph, partition, bumped) >= base - 1e-12
+
+    @pytest.mark.parametrize("n_ctrl", [0, 1, 3, 7, 8, 9, 20, 80])
+    def test_stacked_product_matches_the_row_loop(self, n_ctrl):
+        # the stacked product takes each row's dot product on its own, so
+        # its bits are those of one c_ctrl @ row per row
+        graph, partition = ring_chords_instance(120, n_controlled=n_ctrl, n_stubborn=8, seed=n_ctrl)
+        fast = payoff_fn(graph, partition)
+        rng = np.random.default_rng(n_ctrl)
+        for rows in (1, 2, 5, 64, 1001):
+            us = rng.uniform(0.0, 3.0, size=(rows, n_ctrl)) ** 3
+            assert fast(us).tobytes() == reference_payoff(graph, partition, us).tobytes()
+            for u in us[:3]:
+                got, want = fast(u), reference_payoff(graph, partition, u)
+                assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_fast_payoff_matches_solver_route(self, karate_graph, karate_partition):
         fast = payoff_fn(karate_graph, karate_partition)

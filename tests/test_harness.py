@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from opinionshape.harness import (
 )
 from opinionshape.optim import Trajectory
 
-from helpers import SolveCounter, reference_write_run_csv, reference_write_summary_csv
+from helpers import SolveCounter, reference_exact_optimum, reference_write_run_csv, reference_write_summary_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -167,6 +169,22 @@ class TestRunExperiment:
         )
         run_experiment(cfg)
         assert counter.calls == 1
+
+    @pytest.mark.parametrize("budget", [1e308, 5e-324])
+    @pytest.mark.parametrize("scheme", ["gd", "sas", "sgd1", "sgd2", "partial"])
+    def test_extreme_budgets_run_without_warnings(self, tmp_path, scheme, budget):
+        # at 1e308 the controls sum past the float range inside the exact
+        # optimum: an expected overflow, so it must not warn
+        cfg = parse_config(
+            write_config(tmp_path, scheme=scheme, budget=budget, n_iters=20, n_runs=1, out_dir=tmp_path / scheme)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_experiment(cfg)
+            instance = build_instance(cfg)
+        u_ref, payoff_ref = reference_exact_optimum(instance.graph, instance.partition, budget)
+        assert instance.u_star.tobytes() == u_ref.tobytes()
+        assert instance.payoff_star == payoff_ref
 
     def test_general_schemes_run(self, tmp_path):
         for scheme in ("general-rl", "general-knownp"):

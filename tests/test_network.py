@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opinionshape import network
 from opinionshape.curves import SaturatingCurve
 from opinionshape.errors import DanglingNodeError, EdgeListParseError, InfeasibleError, NonFiniteRowError
 from opinionshape.network import (
     AgentPartition,
     InteractionGraph,
+    bundled_network_path,
     check_feasible,
     load_edge_list,
     random_partition,
@@ -20,7 +22,7 @@ from opinionshape.network import (
     substochastic_matrix,
 )
 
-from helpers import graph_from_P, random_instance
+from helpers import graph_from_P, random_instance, reference_load_edge_list
 
 
 def write(tmp_path, text, name="g.edges"):
@@ -129,6 +131,50 @@ class TestLoadEdgeList:
         for i, j, _ in g.edges:
             assert g.P[i, j] > 0.0
             assert directed or g.P[j, i] > 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_arc_by_arc_loader(self, data):
+        # label gaps, labels past int64, duplicate weighted arcs, loops,
+        # comments, blanks and the occasional bad line
+        labels = data.draw(
+            st.lists(
+                st.one_of(st.integers(-3, 40), st.sampled_from([2**63, 2**70, -(2**65)])),
+                min_size=1, max_size=8, unique=True,
+            )
+        )
+        label = st.sampled_from(labels).map(str) | st.sampled_from(["2_0", "1_000"])
+        weight = st.sampled_from(["1.0", "0.5", "3", "1e-3", "2.5e2", "0.1", "0"]) | st.floats(0.0, 10.0).map(repr)
+        arc = st.tuples(label, label, weight).map(" ".join)
+        loop = st.tuples(st.sampled_from(labels).map(str), weight).map(lambda t: f"{t[0]} {t[0]} {t[1]}")
+        decoration = st.sampled_from(["", "# comment", "   ", "\t# tab comment"])
+        bad = st.sampled_from(["0 x 1.0", "1 2", "1 2 3 4", "1 2 abc", "1 2 -1.0", "1 2 inf", "1.5 2 1.0", "1 2 nan"])
+        kinds = [arc, arc, arc, loop, decoration] + ([bad] if data.draw(st.booleans()) else [])
+        lines = data.draw(st.lists(st.one_of(kinds), min_size=1, max_size=25))
+        if data.draw(st.booleans()):
+            # drop the weights: an unweighted list
+            lines = [" ".join(line.split()[:2]) if not line.lstrip().startswith("#") and len(line.split()) == 3 else line
+                     for line in lines]
+        trailing = data.draw(st.sampled_from(["", "  # trailing"]))
+        text = "\n".join(line + trailing if line.strip() else line for line in lines) + "\n"
+        weighted = data.draw(st.sampled_from([None, True, False]))
+        directed = data.draw(st.booleans())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.edges"
+            path.write_text(text)
+            try:
+                want = reference_load_edge_list(path, weighted=weighted, directed=directed)
+            except (EdgeListParseError, DanglingNodeError, NonFiniteRowError) as exc:
+                with pytest.raises(type(exc)) as err:
+                    load_edge_list(path, weighted=weighted, directed=directed)
+                assert str(err.value) == str(exc)
+                assert getattr(err.value, "line_no", None) == getattr(exc, "line_no", None)
+                return
+            got = load_edge_list(path, weighted=weighted, directed=directed)
+        assert got.P.tobytes() == want.P.tobytes()
+        assert got.edges == want.edges
+        assert got.names == want.names
+        assert got.node_count == want.node_count and got.undirected == want.undirected
 
     def test_deterministic_reload(self, tmp_path):
         path = write(tmp_path, "0 1 1.5\n1 2 0.5\n2 0 2.0\n")
@@ -244,6 +290,21 @@ class TestFeasibility:
             rho = np.max(np.abs(np.linalg.eigvals(A)))
             assert rho < 1.0
             check_feasible(graph, partition)
+
+    def test_adjoint_residual_above_tolerance_raises(self, karate_partition, monkeypatch):
+        # an adjoint off by 1e-4 in one entry leaves a residual of about
+        # 1e-4: above the 1e-6 bound, far below 1e-2
+        exact = network.solve
+
+        def off_solve(system, rhs):
+            x = exact(system, rhs)
+            x[0] += 1e-4
+            return x
+
+        graph = load_edge_list(bundled_network_path("karate"))
+        monkeypatch.setattr(network, "solve", off_solve)
+        with pytest.raises(InfeasibleError, match="residual"):
+            graph.payoff_adjoint(karate_partition)
 
     def test_infeasible_instance_rejected(self):
         # no stubborn agents and no planner influence: singular system

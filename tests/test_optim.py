@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from opinionshape.dynamics import total_payoff
 from opinionshape.errors import DivergenceError
 from opinionshape.optim import (
     StepSchedule,
+    _bisection_brackets,
     exact_gradient,
     exact_optimum,
     project_budget_simplex,
@@ -25,11 +27,23 @@ from helpers import (
     brute_force_projection,
     chain_instance,
     random_instance,
+    reference_bisection,
     reference_exact_optimum,
     reference_project_budget_simplex,
     ring_chords_instance,
     single_agent_instance,
 )
+
+def magnitudes(lo_exp: int, hi_exp: int):
+    """Floats m * 10^e, m in [1, 10) and e in [lo_exp, hi_exp]: log-uniform-ish."""
+    return st.tuples(st.floats(1.0, 10.0, exclude_max=True), st.integers(lo_exp, hi_exp)).map(
+        lambda t: t[0] * 10.0 ** t[1]
+    )
+
+
+# the ranges the bisection brackets must hold on
+SCALES = magnitudes(-60, 5)
+BUDGETS = st.one_of(magnitudes(-323, 307), st.sampled_from([5e-324, 1e-9, 5.0, 200.0, 1e308]))
 
 CURVES = st.one_of(
     st.floats(1e-3, 10.0).map(SaturatingCurve),
@@ -47,6 +61,19 @@ class PeakedCurve:
 
     def deriv(self, x: float) -> float:
         return 1.0 - x
+
+
+@dataclass(frozen=True)
+class UnbracketedSaturatingCurve:
+    """SaturatingCurve's value and derivative without its bisection brackets."""
+
+    scale: float
+
+    def value(self, x: float) -> float:
+        return SaturatingCurve(self.scale).value(x)
+
+    def deriv(self, x: float) -> float:
+        return SaturatingCurve(self.scale).deriv(x)
 
 
 def with_curves(partition, curves):
@@ -395,3 +422,92 @@ class TestExactOptimumMatchesReference:
         u_ref, payoff_ref = reference_exact_optimum(graph, partition, 5.0)
         assert u_star.tobytes() == u_ref.tobytes() and payoff_star == payoff_ref
         assert 4 * shared_calls <= counter.calls
+        # the brackets decide most probes without a bisection
+        assert shared_calls <= 6_000
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        scales=st.lists(SCALES, min_size=1, max_size=6),
+        budget=BUDGETS,
+    )
+    def test_property_bit_identical_over_the_bracket_ranges(self, seed, scales, budget):
+        graph, partition = random_instance(seed, max_nodes=30)
+        curves = [SaturatingCurve(s) for s in scales]
+        assert_matches_reference(graph, with_curves(partition, curves), budget)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        curves=st.lists(
+            st.one_of(SCALES.map(SaturatingCurve), SCALES.map(UnbracketedSaturatingCurve), CURVES),
+            min_size=2, max_size=6,
+        ),
+        budget=BUDGETS,
+    )
+    def test_property_bit_identical_when_some_curves_lack_brackets(self, seed, curves, budget):
+        graph, partition = random_instance(seed, max_nodes=30)
+        assert_matches_reference(graph, with_curves(partition, curves), budget)
+
+
+class TestBisectionBrackets:
+    """``SaturatingCurve.bisection_brackets`` holds the bisection's result."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scale=SCALES,
+        budget=BUDGETS,
+        gains=st.lists(magnitudes(-6, 6), min_size=1, max_size=6),
+        spots=st.lists(st.tuples(st.integers(0, 5), st.floats(-0.05, 1.05)), min_size=1, max_size=6),
+    )
+    def test_brackets_hold_the_bisection_result(self, scale, budget, gains, spots):
+        curve = SaturatingCurve(scale)
+        brackets = curve.bisection_brackets(np.array(gains), budget)
+        if brackets is None:
+            assert budget > 1e150
+            return
+        for k, t in spots:
+            # lam across control k's interior (its marginals at budget and
+            # at 0), in log scale, a little past both ends
+            g = gains[k % len(gains)]
+            top, floor = g * curve.deriv(0.0), max(g * curve.deriv(budget), 5e-324)
+            lam = top * 2.0 ** (-t * (math.log2(top) - math.log2(floor)))
+            bounds = brackets(lam)
+            if bounds is None:
+                continue
+            for lo, hi, gain in zip(*bounds, gains):
+                assert lo <= reference_bisection(gain, curve, lam, budget) <= hi
+
+    def test_brackets_are_narrow_at_the_paper_settings(self):
+        gains = np.array([0.5, 1.0, 3.0])
+        brackets = SaturatingCurve(0.1).bisection_brackets(gains, 5.0)
+        for lam in (0.2, 1.0, 5.0):
+            lo, hi = brackets(lam)
+            want = [reference_bisection(g, SaturatingCurve(0.1), lam, 5.0) for g in gains]
+            assert np.all(lo <= want) and np.all(want <= hi)
+            assert np.all(hi - lo <= 1e-9)
+
+    @pytest.mark.parametrize("scale, budget", [(0.1, 1e308), (0.1, 2e154), (1e-200, 5.0), (0.0, 5.0), (-1.0, 5.0)])
+    def test_no_brackets_where_the_derivative_leaves_the_float_range(self, scale, budget):
+        assert SaturatingCurve(scale).bisection_brackets(np.array([1.0]), budget) is None
+
+    def test_no_brackets_at_an_unsafe_level(self):
+        brackets = SaturatingCurve(0.1).bisection_brackets(np.array([1.0]), 5.0)
+        assert brackets(0.0) is None and brackets(5e-324) is None and brackets(1e305) is None
+
+    def test_curve_groups_give_no_bounds_where_one_cannot(self, karate_graph, karate_partition):
+        partition = with_curves(karate_partition, [SaturatingCurve(0.1), SaturatingCurve(0.2)])
+        brackets = _bisection_brackets(partition, np.array([1.0, 2.0, 3.0]), 5.0)
+        lo, hi = brackets(1.0)
+        assert np.all(lo <= hi) and hi.max() <= 5.0
+        assert brackets(0.0) is None
+
+    def test_no_brackets_for_curves_without_them(self, karate_graph, karate_partition, monkeypatch):
+        # a Linear curve among the controls sends every probe to the bisection
+        partition = with_curves(karate_partition, [SaturatingCurve(0.1), LinearCurve(0.5)])
+        counter = DerivCounter(monkeypatch)
+        exact_optimum(karate_graph, partition, 5.0)
+        mixed_calls = counter.calls
+        counter.calls = 0
+        reference_exact_optimum(karate_graph, partition, 5.0)
+        assert 0 < mixed_calls < counter.calls
