@@ -495,7 +495,7 @@ class TestBisectionBrackets:
         brackets = SaturatingCurve(0.1).bisection_brackets(np.array([1.0]), 5.0)
         assert brackets(0.0) is None and brackets(5e-324) is None and brackets(1e305) is None
 
-    def test_curve_groups_give_no_bounds_where_one_cannot(self, karate_graph, karate_partition):
+    def test_curve_groups_give_no_bounds_where_one_cannot(self, karate_partition):
         partition = with_curves(karate_partition, [SaturatingCurve(0.1), SaturatingCurve(0.2)])
         brackets = _bisection_brackets(partition, np.array([1.0, 2.0, 3.0]), 5.0)
         lo, hi = brackets(1.0)
