@@ -448,14 +448,16 @@ def load_edge_list(
     edges = tuple((index[s], index[d], w) for s, d, w in raw)
     src, dst, weights = (np.array(column) for column in zip(*edges))
     if not directed:
-        # each arc, then its reverse unless it is a loop, so that repeated
-        # arcs add up in the file's order
-        keep = np.column_stack([np.ones(len(edges), dtype=bool), src != dst]).ravel()
-        src, dst = np.column_stack([src, dst]).ravel()[keep], np.column_stack([dst, src]).ravel()[keep]
-        weights = np.repeat(weights, 2)[keep]
+        # each arc, then its reverse unless it is a loop
+        back = np.flatnonzero(src != dst)
+        src, dst, weights = (
+            np.insert(src, back + 1, dst[back]),
+            np.insert(dst, back + 1, src[back]),
+            np.insert(weights, back + 1, weights[back]),
+        )
     adjacency = np.zeros((n, n))
-    # unbuffered and in index order, so repeats add up as a loop would
-    np.add.at(adjacency.ravel(), src * n + dst, weights)
+    # unbuffered and in order, so repeated arcs add up in the file's order
+    np.add.at(adjacency, (src, dst), weights)
     P = row_normalize(adjacency)
     names = {i: label for label, i in index.items()}
     return InteractionGraph(

@@ -224,10 +224,11 @@ def exact_optimum(
     budget.  The result is bit-identical to bisecting every control from
     [0, budget] at every probe.
 
-    When every curve offers certified bounds on its bisection result
-    (``bisection_brackets``) and every gain is positive, a probe first sums
-    those: by the same monotone sum, a lower sum above the budget or an
-    upper sum within it decides the probe without bisecting at all.
+    When one curve covers every control and offers certified bounds on its
+    bisection result (``bisection_brackets``), and every gain is positive,
+    a probe first sums those: by the same monotone sum, a lower sum above
+    the budget or an upper sum within it decides the probe without
+    bisecting at all.
     """
     idx = list(partition.controlled)
     payoff = payoff_fn(graph, partition)
@@ -350,32 +351,14 @@ def exact_optimum(
 
 def _bisection_brackets(partition: AgentPartition, gains: np.ndarray, budget: float):
     """A function lam -> (lo, hi) bounding every control's bisection result
-    at lam (or None at a lam some curve cannot bound), from each curve's
-    ``bisection_brackets``; None unless every gain is positive and every
-    curve offers bounds that hold on [0, budget]."""
-    if not np.all(gains > 0.0):
+    at lam (or None at a lam the curve cannot bound), from the curve's
+    ``bisection_brackets``; None unless one curve covers every control,
+    every gain is positive and the curve offers bounds on [0, budget]."""
+    groups = partition.curve_groups()
+    if len(groups) != 1 or not np.all(gains > 0.0):
         return None
-    parts = []
-    for curve, positions in partition.curve_groups():
-        make = getattr(curve, "bisection_brackets", None)
-        part = None if make is None else make(gains[positions], budget)
-        if part is None:
-            return None
-        parts.append((positions, part))
-    if len(parts) == 1:
-        # one curve covers every control, in control order
-        return parts[0][1]
-
-    def brackets(lam: float) -> tuple[np.ndarray, np.ndarray] | None:
-        low, high = np.empty(len(gains)), np.empty(len(gains))
-        for positions, part in parts:
-            bounds = part(lam)
-            if bounds is None:
-                return None
-            low[positions], high[positions] = bounds
-        return low, high
-
-    return brackets
+    make = getattr(groups[0][0], "bisection_brackets", None)
+    return None if make is None else make(gains, budget)
 
 
 def stationarity_residual(

@@ -144,7 +144,7 @@ class TestLoadEdgeList:
             )
         )
         label = st.sampled_from(labels).map(str) | st.sampled_from(["2_0", "1_000"])
-        weight = st.sampled_from(["1.0", "0.5", "3", "1e-3", "2.5e2", "0.1", "0"]) | st.floats(0.0, 10.0).map(repr)
+        weight = st.sampled_from(["1.0", "0.5", "3", "1e-3", "2.5e2", "0.1", "0", "1e16"]) | st.floats(0.0, 10.0).map(repr)
         arc = st.tuples(label, label, weight).map(" ".join)
         loop = st.tuples(st.sampled_from(labels).map(str), weight).map(lambda t: f"{t[0]} {t[0]} {t[1]}")
         decoration = st.sampled_from(["", "# comment", "   ", "\t# tab comment"])
@@ -175,6 +175,15 @@ class TestLoadEdgeList:
         assert got.edges == want.edges
         assert got.names == want.names
         assert got.node_count == want.node_count and got.undirected == want.undirected
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_repeated_arcs_add_up_in_file_order(self, tmp_path, directed):
+        # 1 + 1e16 + 1 rounds to 1e16 but 1 + 1 + 1e16 does not, so adding
+        # the reverse arcs after all forward ones would change P's bits
+        path = write(tmp_path, "0 1 1.0\n1 0 1e16\n0 1 1.0\n0 2 1.0\n2 1 1.0\n")
+        got = load_edge_list(path, directed=directed)
+        want = reference_load_edge_list(path, directed=directed)
+        assert got.P.tobytes() == want.P.tobytes()
 
     def test_deterministic_reload(self, tmp_path):
         path = write(tmp_path, "0 1 1.5\n1 2 0.5\n2 0 2.0\n")

@@ -14,7 +14,6 @@ from opinionshape.dynamics import total_payoff
 from opinionshape.errors import DivergenceError
 from opinionshape.optim import (
     StepSchedule,
-    _bisection_brackets,
     exact_gradient,
     exact_optimum,
     project_budget_simplex,
@@ -494,13 +493,6 @@ class TestBisectionBrackets:
     def test_no_brackets_at_an_unsafe_level(self):
         brackets = SaturatingCurve(0.1).bisection_brackets(np.array([1.0]), 5.0)
         assert brackets(0.0) is None and brackets(5e-324) is None and brackets(1e305) is None
-
-    def test_curve_groups_give_no_bounds_where_one_cannot(self, karate_partition):
-        partition = with_curves(karate_partition, [SaturatingCurve(0.1), SaturatingCurve(0.2)])
-        brackets = _bisection_brackets(partition, np.array([1.0, 2.0, 3.0]), 5.0)
-        lo, hi = brackets(1.0)
-        assert np.all(lo <= hi) and hi.max() <= 5.0
-        assert brackets(0.0) is None
 
     def test_no_brackets_for_curves_without_them(self, karate_graph, karate_partition, monkeypatch):
         # a Linear curve among the controls sends every probe to the bisection
