@@ -4,7 +4,9 @@ A config describes one instance (network, partition sizes, alpha, budget,
 schedule) and one scheme.  run_experiment executes n_runs with seeds seed,
 seed+1, ..., writes one CSV per run plus a quartile summary of the relative
 payoff gap, all measured against a reference optimum computed once per
-instance.  Identical config and seed produce byte-identical CSVs.
+instance.  Identical config and seed produce byte-identical CSVs on the
+same BLAS build and thread setting; the stationary solve's last bits depend
+on both (ROADMAP item 6).  A relative gap against a payoff* of 0 is nan.
 """
 
 from __future__ import annotations
@@ -199,46 +201,52 @@ def build_instance(config: ExperimentConfig) -> Instance:
 
 
 def run_scheme(config: ExperimentConfig, instance: Instance, run_seed: int) -> Trajectory:
-    """Execute one seeded run of the configured scheme."""
-    g, p = instance.graph, instance.partition
-    schedule = instance.schedule
-    star = instance.payoff_star
-    if config.scheme == "gd":
-        return run_exact_gd(
-            g, p, config.budget,
-            n_iters=config.n_iters,
-            step_scale=config.gd_step_scale, payoff_star=star,
-        )
-    if config.scheme == "sas":
-        return sas.run_sas(
-            g, p, config.budget, schedule, ActivationModel("synchronous"),
-            config.n_iters, run_seed, payoff_star=star,
-        )
-    if config.scheme in ("sgd1", "sgd2"):
-        return sgd.run_sgd(
-            g, p, config.budget, int(config.scheme[-1]), config.n_iters, run_seed,
-            step_A=config.step_a,
-            block=config.sgd_block if config.sgd_block is not None else config.denom,
-            payoff_star=star,
-        )
-    if config.scheme == "partial":
-        # the hidden set is an instance property, fixed across run seeds
-        hidden = partial_obs.sample_hidden(p, 1.0 - config.observed_fraction, config.seed)
-        return partial_obs.run_partial(
-            g, p, config.budget, schedule, config.n_iters, run_seed,
-            observed_fraction=config.observed_fraction, hidden=hidden, payoff_star=star,
-        )
-    if config.scheme == "general-rl":
-        return general_mod.run_general_rl(
-            g, p, instance.model, config.budget, schedule, config.n_iters, run_seed,
-            C=config.anneal_c, anneal_denom=config.anneal_denom, payoff_star=star,
-        )
-    if config.scheme == "general-knownp":
-        return general_mod.run_general_knownp(
-            g, p, instance.model, config.budget, schedule, config.n_iters, run_seed,
-            C=config.anneal_c, anneal_denom=config.anneal_denom, payoff_star=star,
-        )
-    raise ConfigError(f"unknown scheme {config.scheme!r}")
+    """Execute one seeded run of the configured scheme.
+
+    A huge step size can overflow an update to inf, which the scheme's
+    ``project_budget_simplex`` call turns into DivergenceError; the
+    overflow itself is not reported.
+    """
+    with np.errstate(over="ignore"):
+        g, p = instance.graph, instance.partition
+        schedule = instance.schedule
+        star = instance.payoff_star
+        if config.scheme == "gd":
+            return run_exact_gd(
+                g, p, config.budget,
+                n_iters=config.n_iters,
+                step_scale=config.gd_step_scale, payoff_star=star,
+            )
+        if config.scheme == "sas":
+            return sas.run_sas(
+                g, p, config.budget, schedule, ActivationModel("synchronous"),
+                config.n_iters, run_seed, payoff_star=star,
+            )
+        if config.scheme in ("sgd1", "sgd2"):
+            return sgd.run_sgd(
+                g, p, config.budget, int(config.scheme[-1]), config.n_iters, run_seed,
+                step_A=config.step_a,
+                block=config.sgd_block if config.sgd_block is not None else config.denom,
+                payoff_star=star,
+            )
+        if config.scheme == "partial":
+            # the hidden set is an instance property, fixed across run seeds
+            hidden = partial_obs.sample_hidden(p, 1.0 - config.observed_fraction, config.seed)
+            return partial_obs.run_partial(
+                g, p, config.budget, schedule, config.n_iters, run_seed,
+                observed_fraction=config.observed_fraction, hidden=hidden, payoff_star=star,
+            )
+        if config.scheme == "general-rl":
+            return general_mod.run_general_rl(
+                g, p, instance.model, config.budget, schedule, config.n_iters, run_seed,
+                C=config.anneal_c, anneal_denom=config.anneal_denom, payoff_star=star,
+            )
+        if config.scheme == "general-knownp":
+            return general_mod.run_general_knownp(
+                g, p, instance.model, config.budget, schedule, config.n_iters, run_seed,
+                C=config.anneal_c, anneal_denom=config.anneal_denom, payoff_star=star,
+            )
+        raise ConfigError(f"unknown scheme {config.scheme!r}")
 
 
 def write_run_csv(path: Path, traj: Trajectory) -> None:

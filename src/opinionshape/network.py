@@ -456,8 +456,10 @@ def load_edge_list(
             np.insert(weights, back + 1, weights[back]),
         )
     adjacency = np.zeros((n, n))
-    # unbuffered and in order, so repeated arcs add up in the file's order
-    np.add.at(adjacency, (src, dst), weights)
+    # unbuffered and in order, so repeated arcs add up in the file's order;
+    # a sum past the float range is inf, which row_normalize reports
+    with np.errstate(over="ignore"):
+        np.add.at(adjacency, (src, dst), weights)
     P = row_normalize(adjacency)
     names = {i: label for label, i in index.items()}
     return InteractionGraph(

@@ -150,7 +150,7 @@ def run_loop(
     ``payoff(us)`` call on the stacked controls after the loop, so
     ``payoff`` takes a stack with one control vector per row and returns
     one payoff per row.  With payoff_star the trajectory also carries the
-    relative gap.
+    relative gap, which is nan in every row when payoff_star is 0.
     """
     us = [u.copy()]
     times = []
@@ -161,12 +161,15 @@ def run_loop(
         us.append(u.copy())
     us = np.array(us)
     pays = np.asarray(payoff(us), dtype=float)
+    gaps = None
+    if payoff_star is not None:
+        gaps = (payoff_star - pays) / payoff_star if payoff_star else np.full(len(pays), np.nan)
     return Trajectory(
         scheme=scheme,
         ks=np.arange(n_iters + 1),
         u=us,
         payoff=pays,
-        rel_gap=None if payoff_star is None else (payoff_star - pays) / payoff_star,
+        rel_gap=gaps,
         iter_seconds=np.array(times),
     )
 
@@ -211,24 +214,15 @@ def exact_optimum(
     strictly increasing reward curves the budget binds; if every marginal
     is zero the zero control is returned.
 
-    The inner bisection of u_i at lam steps to the upper half of its
-    bracket when g_i * w_i'(mid) >= lam, a test that is monotone in lam.
-    So while the outer search narrows lam to [lam_lo, lam_hi], every lam in
-    it walks the same path down to the first midpoint whose marginal lies
-    in [lam_lo, lam_hi).  Each control keeps that shared bracket (and the
-    marginal at its midpoint) across outer steps instead of restarting at
-    [0, budget].  A probe at lam needs only the sign of total - budget: a
-    control's result lies inside its bracket, and numpy's pairwise sum is
-    a fixed tree of rounded additions, monotone in every term, so the sums
-    of the bracket ends decide the test once they stop straddling the
-    budget.  The result is bit-identical to bisecting every control from
-    [0, budget] at every probe.
-
-    When one curve covers every control and offers certified bounds on its
-    bisection result (``bisection_brackets``), and every gain is positive,
-    a probe first sums those: by the same monotone sum, a lower sum above
-    the budget or an upper sum within it decides the probe without
-    bisecting at all.
+    The inner search bisects [0, budget] for the largest u_i with
+    g_i * w_i'(u_i) >= lam, up to 100 steps.  One shortcut comes first:
+    when one curve object covers every control (as in every
+    ``random_partition``), offers certified bounds on that result
+    (``bisection_brackets``) and every gain is positive, a probe of lam
+    sums the bounds.  numpy's pairwise sum is a fixed tree of rounded
+    additions, monotone in every term, so a lower sum above the budget or
+    an upper sum within it decides the probe without bisecting.  Otherwise
+    the probe bisects every control.
     """
     idx = list(partition.controlled)
     payoff = payoff_fn(graph, partition)
@@ -245,72 +239,33 @@ def exact_optimum(
         u_star = np.zeros(n_ctrl)
         return u_star, payoff(u_star)
     floor = [g * deriv(budget) for g, deriv in zip(gains, derivs)]
-    # per control: the shared bracket lo, hi, its depth in steps from
-    # [0, budget], and the marginal at its midpoint once evaluated
-    shared = [[0.0, budget, 0, None] for _ in range(n_ctrl)]
 
-    def control_at(lam: float, lam_lo: float, lam_hi: float, exact: bool):
-        """Lower ends of the brackets of each control's bisection result at lam.
+    def control_at(lam: float) -> np.ndarray:
+        """Each control's inner bisection result at lam.
 
-        Deepens while the sums of the lower and upper ends straddle the
-        budget, so low.sum() > budget decides total > budget; with
-        ``exact``, until each bracket is the result itself.  The test holds
-        at lo and fails at hi, so once mid rounds onto lo or hi, or after
-        100 steps, the result is 0.5 * (lo + hi).
+        The test holds at lo and fails at hi, so once mid rounds onto lo or
+        hi every further step rewrites the same value and stopping leaves
+        (lo, hi) exactly as 100 steps would.
         """
-        low = np.zeros(n_ctrl)
-        high = np.zeros(n_ctrl)
-        live = []
+        u = np.zeros(n_ctrl)
         for pos in range(n_ctrl):
             if top[pos] <= lam:
                 continue
             if floor[pos] >= lam:
-                low[pos] = high[pos] = budget
+                u[pos] = budget
                 continue
             g, deriv = gains[pos], derivs[pos]
-            state = shared[pos]
-            lo, hi, depth, d = state
-            mid = 0.5 * (lo + hi)
-            while depth < 100 and mid != lo and mid != hi:
-                if d is None:
-                    d = g * deriv(mid)
-                if lam_lo <= d < lam_hi:
-                    break  # the paths part here
-                if d >= lam_hi:
+            lo, hi = 0.0, budget
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                if g * deriv(mid) >= lam:
                     lo = mid
                 else:
                     hi = mid
-                depth += 1
-                d = None
-                mid = 0.5 * (lo + hi)
-            state[:] = lo, hi, depth, d
-            if d is None:
-                low[pos] = high[pos] = mid
-            else:
-                live.append((pos, lo, hi, depth, d))
-        while live:
-            deeper = []
-            for pos, lo, hi, depth, d in live:
-                mid = 0.5 * (lo + hi)
-                if d is None:
-                    d = gains[pos] * derivs[pos](mid)
-                if d >= lam:
-                    lo = mid
-                else:
-                    hi = mid
-                depth += 1
-                mid = 0.5 * (lo + hi)
-                if depth < 100 and mid != lo and mid != hi:
-                    low[pos], high[pos] = lo, hi
-                    deeper.append((pos, lo, hi, depth, None))
-                else:
-                    low[pos] = high[pos] = mid
-            live = deeper
-            if not exact:
-                with np.errstate(over="ignore"):
-                    if not low.sum() <= budget < high.sum():
-                        break
-        return low
+            u[pos] = 0.5 * (lo + hi)
+        return u
 
     brackets = _bisection_brackets(partition, np.array(gains), budget)
 
@@ -324,14 +279,14 @@ def exact_optimum(
             if bounds[1].sum() <= budget:
                 return False
         with np.errstate(over="ignore"):
-            return control_at(lam, lam_lo, lam_hi, exact=False).sum() > budget
+            return control_at(lam).sum() > budget
 
-    lam_lo = 0.0
-    u_star = control_at(0.0, lam_lo, lam_hi, exact=True)
+    u_star = control_at(0.0)
     # at a huge budget the controls can sum past the float range: inf > budget
     with np.errstate(over="ignore"):
         if u_star.sum() <= budget:
             return u_star, payoff(u_star)
+    lam_lo = 0.0
     for _ in range(200):
         lam = 0.5 * (lam_lo + lam_hi)
         if exceeds(lam):
@@ -340,7 +295,7 @@ def exact_optimum(
             lam_hi = lam
         if lam_hi - lam_lo < 1e-12 * max(1.0, lam_hi):
             break
-    u_star = control_at(lam_hi, lam_lo, lam_hi, exact=True)
+    u_star = control_at(lam_hi)
     # land exactly on the face when the budget binds
     with np.errstate(over="ignore"):
         s = u_star.sum()

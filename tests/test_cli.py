@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opinionshape.cli import main
 
@@ -256,3 +262,134 @@ def test_more_jobs_than_runs_is_exit_0(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in out.glob("*_seed*.csv")) == ["sas_seed0.csv", "sas_seed1.csv"]
+
+
+def write_ring(tmp_path):
+    """A 4-node ring: 0 1, 1 2, 2 3, 3 0."""
+    edges = tmp_path / "ring.edges"
+    edges.write_text("0 1\n1 2\n2 3\n3 0\n")
+    return edges
+
+
+@pytest.mark.parametrize(
+    "scheme, key",
+    [("sas", "step_b"), ("partial", "step_b"), ("general-rl", "step_b"), ("sgd1", "step_a"), ("gd", "gd_step_scale")],
+)
+def test_huge_step_is_exit_3_without_a_warning(tmp_path, scheme, key):
+    # the first update overflows to inf and the projection reports divergence
+    cfg = write_config(
+        tmp_path, network=write_ring(tmp_path), s_size=1, s1_size=2, s0_size=1, scheme=scheme,
+        n_iters=3, n_runs=1, out_dir=tmp_path / "out", **{key: 1e308},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg)]) == 3
+
+
+def test_parallel_arcs_past_the_float_range_are_exit_2_without_a_warning(tmp_path, capsys):
+    # each weight is finite, but the arc and its reverse add up to inf
+    edges = tmp_path / "huge.edges"
+    edges.write_text("0 1 1e308\n1 0 1e308\n")
+    cfg = write_config(
+        tmp_path, network=edges, weighted="true", s_size=0, s1_size=2, s0_size=0, n_iters=1, n_runs=1,
+        out_dir=tmp_path / "out",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gd", "--config", str(cfg)]) == 2
+    assert "node 0" in capsys.readouterr().err
+
+
+def test_zero_optimum_gives_nan_gaps_without_a_warning(tmp_path):
+    # with alpha = 1 the marginal is flat to rounding over [0, 1e-20], so
+    # the water-filling returns the zero control and payoff* is 0
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path, network=write_ring(tmp_path), s_size=4, s1_size=0, s0_size=0, alpha=1.0, budget=1e-20,
+        n_iters=5, n_runs=2, out_dir=out,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg)]) == 0
+    for name in ("sas_seed0.csv", "sas_seed1.csv"):
+        rows = (out / name).read_text().splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["nan"] * 6
+    assert (out / "sas_summary.csv").read_text().splitlines()[1:] == [f"{k},nan,nan,nan" for k in range(6)]
+
+
+# values at the edges of every key's range: zero, negatives, huge ints,
+# the largest and the smallest float, inf, nan and non-numbers
+EDGE_VALUES = ["0", "-1", "-0.0", str(10**30), str(10**400), "1e308", "5e-324", "inf", "-inf", "nan", "abc", ""]
+# in-range values of each key the property varies; n_iters, n_runs and jobs
+# stay small, since the pool starts one process per run
+ORDINARY = {
+    "alpha": ["0.6", "0", "1"],
+    "budget": ["5.0", "1e-20", "1e160"],
+    "seed": ["0", "3", str(10**30)],
+    "step_a": ["0.6", "5"],
+    "step_b": ["0.6"],
+    "denom": ["100", "1"],
+    "sgd_block": ["1", "7"],
+    "gd_step_scale": ["100.0"],
+    "observed_fraction": ["0.5", "0", "1"],
+    "directed": ["false", "true"],
+    "n_iters": ["0", "1", "5"],
+    "n_runs": ["1", "2"],
+    "jobs": ["1", "2"],
+}
+SMALL_KEYS = ("n_iters", "n_runs", "jobs")
+
+
+@st.composite
+def cli_cases(draw):
+    """An edge list, a config file's settings and the subcommand of one CLI
+    call; up to two keys, a weight or a node label take an edge value."""
+    n = draw(st.integers(2, 6))
+    weighted = draw(st.booleans())
+    edged = draw(st.sets(st.sampled_from([*ORDINARY, "sizes", "weight", "label"]), max_size=2))
+
+    def value(key):
+        if key not in edged:
+            return draw(st.sampled_from(ORDINARY[key]))
+        if key in SMALL_KEYS:
+            return draw(st.sampled_from(["-1", "0", "-0.0", "2.5", "abc", ""]))
+        return draw(st.sampled_from(EDGE_VALUES))
+
+    labels = list(range(n))
+    arcs = [(i, (i + 1) % n) for i in range(n)]
+    for _ in range(draw(st.integers(0, 4))):
+        arcs.append((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+    if "label" in edged:
+        odd = draw(st.sampled_from([-1, 10**30, 2**63]))
+        arcs.append((odd, draw(st.integers(0, n - 1))))
+        labels.append(odd)
+    rows = [f"{i} {j}" for i, j in arcs]
+    if weighted:
+        rows = [f"{row} {draw(st.sampled_from(EDGE_VALUES if 'weight' in edged else ['1', '0.5', '2']))}" for row in rows]
+    nodes = len(set(labels))
+    s = draw(st.integers(0, nodes))
+    s0 = draw(st.integers(0, nodes - s))
+    sizes = [s, nodes - s - s0, s0]
+    if "sizes" in edged:
+        sizes[draw(st.integers(0, 2))] = draw(st.sampled_from(EDGE_VALUES))
+    settings_ = {key: value(key) for key in ORDINARY}
+    settings_.update(
+        s_size=sizes[0], s1_size=sizes[1], s0_size=sizes[2], weighted=str(weighted).lower(),
+        scheme=draw(st.sampled_from(["gd", "sas", "sgd1", "sgd2", "partial"])),
+    )
+    return rows, settings_, draw(st.sampled_from(["run", "gd"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cli_cases())
+def test_cli_keeps_its_exit_contract(case):
+    rows, values, command = case
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        (folder / "net.edges").write_text("\n".join(rows) + "\n")
+        values = dict(values, network=folder / "net.edges", out_dir=folder / "out")
+        cfg = folder / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(cfg)])
+    assert code in (0, 2, 3)
