@@ -54,13 +54,15 @@ class SaturatingCurve:
     def derivs(self, xs: np.ndarray) -> np.ndarray:
         # Python's ** is libm pow, which numpy's square and power do not
         # match in the last bit, so the square stays a Python float op
+        if xs.ndim != 1:
+            return self.derivs(xs.ravel()).reshape(xs.shape)
         s = self.scale
-        points = xs.ravel().tolist()
+        points = xs.tolist()
         try:
             out = [s / (x + s) ** 2 for x in points]
         except OverflowError:
             out = [self.deriv(x) for x in points]
-        return np.array(out).reshape(xs.shape)
+        return np.array(out)
 
     def bisection_brackets(self, gains: np.ndarray, budget: float):
         """Certified bounds on ``exact_optimum``'s inner bisection, or None.

@@ -140,7 +140,10 @@ def payoff_fn(graph: InteractionGraph, partition: AgentPartition) -> Callable[[n
     def payoff(u: np.ndarray) -> float | np.ndarray:
         # without controls each row's product is 0.0
         W = partition.w_values(np.atleast_2d(u))
-        rows = base + (W[:, None, :] @ c_ctrl)[:, 0]
+        # an unbounded curve's value overflows the product to inf, as a
+        # Python float product does
+        with np.errstate(over="ignore"):
+            rows = base + (W[:, None, :] @ c_ctrl)[:, 0]
         return rows if np.ndim(u) == 2 else float(rows[0])
 
     return payoff

@@ -99,6 +99,12 @@ _SIZES = np.arange(1.0, 1025.0)
 _SIZES.setflags(write=False)
 
 
+# numpy's add-reduce sums fewer than 8 entries in one left-to-right loop and
+# splits its pairwise sum over 8 accumulators from 8 entries up; below this
+# width a sequential sum on Python floats has numpy's bits
+_SEQUENTIAL_SUM_WIDTH = 8
+
+
 def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum(x) <= budget}.
 
@@ -107,12 +113,21 @@ def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
     on the face {x >= 0, sum(x) = budget} finishes the job.  A NaN or +inf
     entry raises DivergenceError (-inf clips to 0 and is projected).
 
-    The largest entry always holds: a budget below half an ulp of it
-    rounds away in the cumulative sum, and the result is then all zeros.
+    A budget below half an ulp of the largest entry rounds away against it,
+    and the result is then all zeros.  A vector of fewer than 8 entries
+    runs the same operations on Python floats, which skips numpy's per-call
+    cost and gives the same bits.
     """
-    if budget <= 0.0:
+    # written so that NaN fails too
+    if not budget > 0.0:
         raise ValueError("budget must be positive")
     v = np.asarray(v, dtype=float)
+    if v.ndim == 1 and len(v) < _SEQUENTIAL_SUM_WIDTH:
+        return _project_floats(v, budget)
+    return _project_array(v, budget)
+
+
+def _project_array(v: np.ndarray, budget: float) -> np.ndarray:
     clipped = np.maximum(v, 0.0)
     total = float(clipped.sum())
     if not math.isfinite(total):
@@ -123,12 +138,41 @@ def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
     dropping = np.sort(v)[::-1]
     csum = dropping.cumsum()
     csum -= budget
+    if csum[0] == dropping[0]:
+        # ties would hold at a level an ulp below them; only zero fits
+        return np.zeros_like(v)
     sizes = _SIZES[:n] if n <= len(_SIZES) else np.arange(1.0, n + 1.0)
     holds = dropping - csum / sizes > 0.0
-    holds[0] = True
     rho = n - int(holds[::-1].argmax())
     theta = csum[rho - 1] / rho
     return np.maximum(v - theta, 0.0)
+
+
+def _project_floats(v: np.ndarray, budget: float) -> np.ndarray:
+    # ``_project_array`` on Python floats: each step is one IEEE operation
+    # in the same order, and ``x if x > 0.0 else 0.0`` is np.maximum(x, 0.0)
+    # on non-NaN x, signed zeros included
+    vals = v.tolist()
+    total = 0.0
+    for x in vals:
+        # NaN passes into the total
+        if not x < 0.0:
+            total += x
+    if not math.isfinite(total):
+        raise DivergenceError(f"cannot project a non-finite control vector: {v}")
+    if total <= budget:
+        return np.array([x if x > 0.0 else 0.0 for x in vals])
+    dropping = sorted(vals, reverse=True)
+    if dropping[0] - budget == dropping[0]:
+        return np.zeros_like(v)
+    csum = 0.0
+    for size, x in enumerate(dropping, 1):
+        csum += x
+        level = (csum - budget) / size
+        # the largest entry holds, so theta is always set
+        if x - level > 0.0:
+            theta = level
+    return np.array([x - theta if x - theta > 0.0 else 0.0 for x in vals])
 
 
 def exact_gradient(graph: InteractionGraph, partition: AgentPartition, u: np.ndarray) -> np.ndarray:

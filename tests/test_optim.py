@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from opinionshape import optim
 from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
 from opinionshape.dynamics import total_payoff
 from opinionshape.errors import DivergenceError
@@ -158,6 +159,12 @@ class TestProjection:
             out = project_budget_simplex(v, budget)
             assert np.all(out >= 0.0) and out.sum() <= budget
             return
+        top = float(v.max())
+        if want.sum() > budget and top - budget == top:
+            # the budget rounded away, and the oracle's ties held an ulp below the largest entry
+            out = project_budget_simplex(v, budget)
+            assert np.all(out >= 0.0) and out.sum() <= budget
+            return
         assert project_budget_simplex(v, budget).tobytes() == want.tobytes()
 
     def test_bits_match_reference_beyond_the_cached_sizes(self):
@@ -177,6 +184,82 @@ class TestProjection:
     def test_non_finite_input_is_divergence(self, bad):
         with pytest.raises(DivergenceError):
             project_budget_simplex(np.array([1.0, bad, 2.0]), 5.0)
+
+    @pytest.mark.parametrize("n", [3, 7, 8, 40])
+    def test_budget_rounding_away_against_ties_gives_zero(self, n):
+        # the budget vanishes in the cumulative sum, and the ties would
+        # hold at a level an ulp below them: n ulps of 0.7 is far over 1e-20
+        out = project_budget_simplex(np.full(n, 0.7), 1e-20)
+        assert out.tobytes() == np.zeros(n).tobytes()
+
+
+# what the list path of the projection meets: signed zeros, -inf, the
+# smallest subnormal, huge entries, and ties
+SPECIAL_ENTRIES = st.sampled_from([0.0, -0.0, -math.inf, 5e-324, -5e-324, 1e300, -1e300, 0.7, 1.0, 3.0])
+ENTRIES = st.one_of(SPECIAL_ENTRIES, st.floats(-1e3, 1e3), st.floats(-1e300, 1e300))
+
+
+class TestProjectionListPath:
+    """Below 8 entries the projection runs on Python floats with the array path's bits."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_numpy_sums_short_vectors_left_to_right(self, n):
+        # the list path rests on this: a numpy that sums fewer than 8
+        # entries in another order must fail here, not move a CSV byte
+        rows = np.random.default_rng(n).normal(0.0, 1.0, (3000, n)) * 10.0 ** np.arange(n)[::-1]
+        for row in rows:
+            total = 0.0
+            for x in row.tolist():
+                total += x
+            assert np.add.reduce(row) == total
+
+    @pytest.mark.parametrize("n", [8, 9, 12])
+    def test_eight_entries_and_up_take_the_array_path(self, n):
+        # at a budget equal to numpy's pairwise sum, a sequential sum that
+        # lands above it would water-fill a point the array path returns as is
+        rows = np.abs(np.random.default_rng(n).normal(0.0, 1.0, (200, n)))
+        differs = 0
+        for v in rows:
+            budget = float(v.sum())
+            want = optim._project_array(v, budget)
+            assert project_budget_simplex(v, budget).tobytes() == want.tobytes()
+            differs += optim._project_floats(v, budget).tobytes() != want.tobytes()
+        assert differs > 0
+
+    @settings(max_examples=1500, deadline=None)
+    @given(v=st.lists(ENTRIES, min_size=1, max_size=7), data=st.data())
+    def test_property_bits_match_the_array_path(self, v, data):
+        v = np.array(v)
+        total = float(np.maximum(v, 0.0).sum())
+        budgets = [5e-324, 1e-20, 1.0, 1e300]
+        if 0.0 < total < math.inf:
+            budgets += [total, float(np.nextafter(total, 0.0)), float(np.nextafter(total, math.inf)), total / 2]
+        budget = data.draw(st.one_of(st.sampled_from(budgets), st.floats(1e-30, 1e4)))
+        # at a -inf entry the array path's holds test takes -inf - -inf, a
+        # NaN that numpy warns about and Python floats do not
+        with np.errstate(invalid="ignore"):
+            want = optim._project_array(v, budget)
+        got = optim._project_floats(v, budget)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_raise_the_same_error(self, n, bad):
+        v = np.linspace(-1.0, 2.0, n)
+        v[n // 2] = bad
+        messages = []
+        for project in (optim._project_array, optim._project_floats, project_budget_simplex):
+            with pytest.raises(DivergenceError) as err:
+                project(v, 5.0)
+            messages.append(str(err.value))
+        assert len(set(messages)) == 1
+
+    @pytest.mark.parametrize("n", [1, 7, 8])
+    @pytest.mark.parametrize("budget", [0.0, -0.0, -1.0, -math.inf, math.nan])
+    def test_budget_that_is_not_positive_raises(self, n, budget):
+        with pytest.raises(ValueError):
+            project_budget_simplex(np.ones(n), budget)
 
 
 class TestStepSchedule:
@@ -447,6 +530,12 @@ class TestExactOptimumMatchesReference:
     def test_property_bit_identical_when_some_curves_lack_brackets(self, seed, curves, budget):
         graph, partition = random_instance(seed, max_nodes=30)
         assert_matches_reference(graph, with_curves(partition, curves), budget)
+
+    def test_linear_curve_at_the_largest_budget_overflows_the_payoff_quietly(self):
+        # a linear control of 1e308 overflows the payoff's stacked product
+        graph, partition = random_instance(0, max_nodes=30)
+        partition = with_curves(partition, [SaturatingCurve(1.0), LinearCurve(1.0)])
+        assert_matches_reference(graph, partition, 1e308)
 
 
 class TestBisectionBrackets:
