@@ -23,6 +23,10 @@ import numpy as np
 # IEEE operation on them rounds with a relative error under one ulp
 _SAFE_LO = 2.0**-1000
 _SAFE_HI = 2.0**1000
+# below this many gains, bisection brackets are computed on Python floats:
+# numpy's per-call cost outweighs the loop (3 gains: 4.6 against 11.8 us a
+# call; the two break even near 10 gains)
+_POINTWISE_WIDTH = 8
 
 
 class Curve(Protocol):
@@ -92,6 +96,7 @@ class SaturatingCurve:
         if not (_SAFE_LO <= min(g_min, gs_min) and max(g_max, gs_max) <= _SAFE_HI):
             return None
         pad = budget * 2.0**-99 + math.ulp(budget)
+        points = gs.tolist() if len(gs) < _POINTWISE_WIDTH else None
 
         def brackets(lam: float) -> tuple[np.ndarray, np.ndarray] | None:
             # the extremes bound every g * s / lam and lam / g
@@ -103,13 +108,30 @@ class SaturatingCurve:
                 and lam / g_min <= _SAFE_HI
             ):
                 return None
+            if points is not None:
+                # the array operations below on Python floats, without
+                # numpy's per-call cost: IEEE sqrt and division round alike,
+                # and math.ulp is np.spacing on positive floats
+                lo, hi = [], []
+                for x in points:
+                    root = math.sqrt(x / lam)
+                    width = math.ulp(root) * 1024.0 + pad
+                    est = root - s
+                    low, high = est - width, est + width
+                    lo.append(min(low, budget) if low > 0.0 else 0.0)
+                    hi.append(min(high, budget) if high > 0.0 else 0.0)
+                return np.array(lo), np.array(hi)
             root = np.sqrt(gs / lam)
             width = np.spacing(root)
             width *= 1024.0
             width += pad
             est = root - s
-            lo = np.minimum(np.maximum(est - width, 0.0), budget)
-            hi = np.minimum(np.maximum(est + width, 0.0), budget)
+            lo = est - width
+            np.maximum(lo, 0.0, out=lo)
+            np.minimum(lo, budget, out=lo)
+            hi = est + width
+            np.maximum(hi, 0.0, out=hi)
+            np.minimum(hi, budget, out=hi)
             return lo, hi
 
         return brackets

@@ -1,8 +1,14 @@
 """Graph ingestion, poll-matrix construction, and agent-class assignment.
 
 The interaction graph carries a row-stochastic poll matrix P built from an
-edge list.  Agents are split into three classes: controlled agents accept
-planner influence with per-agent probability alpha, uncontrolled agents only
+edge list and stored as compressed sparse rows, in O(edges + n) memory.
+The dense P is built only when read (the general model and the test
+oracles); the base schemes never read it.  Their one n x n array is the
+stationary system Id - A, scattered from the sparse rows, and their one
+O(n^3) step is its LU solve.
+
+Agents are split into three classes: controlled agents accept planner
+influence with per-agent probability alpha, uncontrolled agents only
 gossip, and stubborn agents hold a pinned opinion h.  The influence matrix A
 damps controlled rows by (1 - alpha) and zeroes stubborn rows; stationary
 opinions exist exactly when (Id - A) is invertible, which is validated
@@ -30,37 +36,76 @@ STUBBORN = -2
 
 @dataclass(frozen=True)
 class InteractionGraph:
-    """A gossip network with its row-stochastic poll matrix.
+    """A gossip network with its row-stochastic poll matrix P.
 
     ``edges`` holds the input arcs as read from the source (one entry per
     file line); for undirected sources each arc also contributes its
     reverse to P.  ``names`` maps the contiguous 0-based node index back to
     the original label.
+
+    P is stored in compressed sparse rows, its one stored form: row ``i``'s
+    nonzero entries are ``vals[ptr[i]:ptr[i + 1]]`` in the columns
+    ``cols[ptr[i]:ptr[i + 1]]``, which increase (the order of the dense
+    row, which seeded draws follow).  The arrays are read-only.  The dense
+    ``P`` is built from them on first access.
     """
 
     node_count: int
     edges: tuple[tuple[int, int, float], ...]
-    P: np.ndarray
+    ptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     names: dict[int, int] = field(default_factory=dict)
     undirected: bool = True
+    _dense: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _poll_table: PollTable | None = field(default=None, init=False, repr=False, compare=False)
     _adjoint: tuple[AgentPartition, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        if self.P.shape != (self.node_count, self.node_count):
-            raise ValueError("poll matrix shape does not match node count")
-        rows = self.P.sum(axis=1)
+        # array methods and slices: np.any, np.all and np.diff would double
+        # the cost of checking a karate-sized graph
+        n = self.node_count
+        ptr = np.asarray(self.ptr, dtype=np.intp)
+        cols = np.asarray(self.cols, dtype=np.intp)
+        vals = np.asarray(self.vals, dtype=float)
+        counts = ptr[1:] - ptr[:-1]
+        if ptr.shape != (n + 1,) or ptr[0] != 0 or (counts < 0).any() or not cols.shape == vals.shape == (ptr[-1],):
+            raise ValueError("poll matrix rows do not match the node count and the entries")
+        if len(cols) and (cols.min() < 0 or cols.max() >= n):
+            raise ValueError("poll matrix columns must lie in the node range")
+        rows = np.repeat(np.arange(n), counts)
         # written so that a NaN row fails too
-        if not np.all(np.abs(rows - 1.0) <= 1e-9):
+        if not (abs(np.bincount(rows, weights=vals, minlength=n) - 1.0) <= 1e-9).all():
             raise ValueError("poll matrix rows must sum to 1")
+        if not (vals > 0.0).all():
+            raise ValueError("stored poll entries must be positive")
+        for name, array in (("ptr", ptr), ("cols", cols), ("vals", vals)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of each stored entry, in storage order."""
+        return np.repeat(np.arange(self.node_count), self.ptr[1:] - self.ptr[:-1])
+
+    @property
+    def P(self) -> np.ndarray:
+        """The dense poll matrix, read-only, built from the sparse rows on
+        first access and cached."""
+        dense = self._dense
+        if dense is None:
+            dense = np.zeros((self.node_count, self.node_count))
+            dense[self.entry_rows(), self.cols] = self.vals
+            dense.setflags(write=False)
+            object.__setattr__(self, "_dense", dense)
+        return dense
 
     def poll_cdf(self) -> PollTable:
-        """The cached poll table, built from P on the first call."""
+        """The cached poll table, built from the sparse rows on the first call."""
         table = self._poll_table
         if table is None:
-            table = PollTable.from_matrix(self.P)
+            table = PollTable.from_rows(self.ptr, self.cols, self.vals)
             object.__setattr__(self, "_poll_table", table)
         return table
 
@@ -86,8 +131,12 @@ class InteractionGraph:
         return cached[1]
 
     def __setstate__(self, state):
-        # unpickled arrays come back writeable; the cached vector must not
+        # unpickled arrays come back writeable; the stored and cached ones
+        # must not
         self.__dict__.update(state)
+        for array in (self.ptr, self.cols, self.vals, self._dense):
+            if array is not None:
+                array.setflags(write=False)
         if self._adjoint is not None:
             self._adjoint[1].setflags(write=False)
 
@@ -107,13 +156,14 @@ GUIDE_BUCKETS = 2
 class PollTable:
     """Row-wise cumulative poll law stored over each row's neighbours only.
 
-    Entries follow the row-major order of ``np.nonzero(P)``.  ``keys`` holds
-    ``row + 1j * cum``: numpy orders complex numbers lexicographically, so
-    one ``searchsorted`` finds the row's block and the first cumulative
-    weight above the uniform, O(log nnz) per draw.  The cumulative values
-    are a sequential cumsum over the neighbours, which equals the dense row
-    cumsum at the neighbour columns bit for bit (adding 0.0 is exact), so a
-    draw picks what ``(r < cumsum(P)[row]).argmax()`` picks.  Each row's
+    Entries follow the row-major order of ``np.nonzero(P)``, and ``ptr``
+    holds each row's offset into them.  ``keys`` holds ``row + 1j * cum``:
+    numpy orders complex numbers lexicographically, so one ``searchsorted``
+    finds the row's block and the first cumulative weight above the
+    uniform, O(log nnz) per draw.  The cumulative values are a sequential
+    cumsum over the neighbours, which equals the dense row cumsum at the
+    neighbour columns bit for bit (adding 0.0 is exact), so a draw picks
+    what ``(r < cumsum(P)[row]).argmax()`` picks.  Each row's
     last neighbour is pinned at exactly 1, so rounding in the row sum can
     never send a draw past it.
 
@@ -138,6 +188,7 @@ class PollTable:
     indices: np.ndarray
     keys: np.ndarray
     shape: tuple[int, int]
+    ptr: np.ndarray
     _lists: tuple[list[int], list[float], list[int]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -146,17 +197,27 @@ class PollTable:
     )
 
     @classmethod
-    def from_matrix(cls, P: np.ndarray) -> "PollTable":
-        rows, cols = np.divmod(np.flatnonzero(P != 0.0), P.shape[1])
-        counts = np.bincount(rows, minlength=P.shape[0])
-        ends = np.cumsum(counts)
-        slot = np.arange(len(rows)) - (ends - counts)[rows]
-        padded = np.zeros((P.shape[0], int(counts.max(initial=0))))
-        padded[rows, slot] = P[rows, cols]
-        cum = np.cumsum(padded, axis=1)[rows, slot]
-        del padded
-        cum[ends - 1] = 1.0
-        return cls(indices=cols, keys=rows + 1j * cum, shape=P.shape)
+    def from_rows(cls, ptr: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "PollTable":
+        """The table of the sparse rows (``ptr``, ``cols``, ``vals``) of a
+        poll matrix, in O(nnz) plus one pass per slot of the widest row."""
+        n = len(ptr) - 1
+        counts = ptr[1:] - ptr[:-1]
+        # each row's cumsum, one slot of every row at a time: the same
+        # left-to-right additions as a cumsum along the padded dense rows.
+        # Row starts go longest row first, so the rows that reach slot s
+        # are the first longer[s] of them
+        starts = ptr[:-1][np.argsort(counts)[::-1]]
+        longer = n - np.cumsum(np.bincount(counts))
+        cum = vals.copy()
+        for s, reach in enumerate(longer[1:-1].tolist(), 1):
+            at = starts[:reach] + s
+            cum[at] += cum[at - 1]
+        cum[ptr[1:] - 1] = 1.0
+        # filling the parts skips the temporaries of rows + 1j * cum
+        keys = np.empty(len(cum), dtype=complex)
+        keys.real = np.repeat(np.arange(n), counts)
+        keys.imag = cum
+        return cls(indices=cols, keys=keys, shape=(n, n), ptr=ptr)
 
     def row_lists(self) -> tuple[list[int], list[float], list[int]]:
         """Row start offsets (n + 1 of them), cumulative weights and
@@ -169,8 +230,7 @@ class PollTable:
         """
         lists = self._lists
         if lists is None:
-            ptr = np.searchsorted(self.keys.real, np.arange(self.shape[0] + 1))
-            lists = (ptr.tolist(), self.keys.imag.tolist(), self.indices.tolist())
+            lists = (self.ptr.tolist(), self.keys.imag.tolist(), self.indices.tolist())
             object.__setattr__(self, "_lists", lists)
         return lists
 
@@ -185,7 +245,7 @@ class PollTable:
         table = self._guide
         if table is None:
             n = self.shape[0]
-            m = GUIDE_BUCKETS * np.diff(np.searchsorted(self.keys.real, np.arange(n + 1)))
+            m = GUIDE_BUCKETS * (self.ptr[1:] - self.ptr[:-1])
             bucket0 = np.cumsum(m) - m
             owner = np.repeat(np.arange(n), m)
             b = np.arange(len(owner)) - bucket0[owner]
@@ -390,13 +450,36 @@ def row_normalize(adjacency: np.ndarray) -> np.ndarray:
         raise ValueError("adjacency weights must be nonnegative")
     with np.errstate(over="ignore"):
         sums = adjacency.sum(axis=1)
+    _check_row_sums(sums)
+    return adjacency / sums[:, None]
+
+
+def _check_row_sums(sums: np.ndarray) -> None:
     dangling = np.flatnonzero(sums <= 0.0)
     if dangling.size:
         raise DanglingNodeError(int(dangling[0]))
     unbounded = np.flatnonzero(~np.isfinite(sums))
     if unbounded.size:
         raise NonFiniteRowError(int(unbounded[0]))
-    return adjacency / sums[:, None]
+
+
+# cells of the dense row block that _dense_row_sums sums at a time
+_ROW_SUM_CELLS = 1 << 16
+
+
+def _dense_row_sums(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    # numpy sums a dense row pairwise, in a tree fixed by the row length,
+    # so a sequential sum of the nonzeros can differ in the last bit;
+    # summing a block of dense rows at a time gives the dense bits in
+    # O(block) memory
+    step = max(1, _ROW_SUM_CELLS // n)
+    starts = np.searchsorted(rows, np.arange(0, n + step, step))
+    sums = np.empty(n)
+    for r0, lo, hi in zip(range(0, n, step), starts[:-1].tolist(), starts[1:].tolist()):
+        block = np.zeros((min(step, n - r0), n))
+        block[rows[lo:hi] - r0, cols[lo:hi]] = vals[lo:hi]
+        sums[r0:r0 + step] = block.sum(axis=1)
+    return sums
 
 
 def load_edge_list(
@@ -412,6 +495,9 @@ def load_edge_list(
     When ``weighted`` is None the column count of the first data line
     decides.  Undirected sources (the default) contribute both arc
     directions to the poll matrix.
+
+    P's sparse rows are built in O(edges + n) memory, with the bits of
+    ``row_normalize`` on the dense adjacency.
     """
     path = Path(path)
     raw: list[tuple[int, int, float]] = []
@@ -448,25 +534,39 @@ def load_edge_list(
     n = len(labels)
     edges = tuple((index[s], index[d], w) for s, d, w in raw)
     src, dst, weights = (np.array(column) for column in zip(*edges))
+    cells = src * n + dst
     if not directed:
         # each arc, then its reverse unless it is a loop
-        back = np.flatnonzero(src != dst)
-        src, dst, weights = (
-            np.insert(src, back + 1, dst[back]),
-            np.insert(dst, back + 1, src[back]),
-            np.insert(weights, back + 1, weights[back]),
-        )
-    adjacency = np.zeros((n, n))
-    # unbuffered and in order, so repeated arcs add up in the file's order;
-    # a sum past the float range is inf, which row_normalize reports
+        pairs = np.empty((len(cells), 2), dtype=cells.dtype)
+        pairs[:, 0] = cells
+        pairs[:, 1] = dst * n + src
+        kept = (src != dst).repeat(2)
+        kept[::2] = True
+        cells = pairs.ravel()[kept]
+        weights = weights.repeat(2)[kept]
+    # one cell per distinct arc, in row-major order; np.add.at is unbuffered
+    # and runs in arc order, so repeated arcs add up in the file's order
+    cells, cell_of = np.unique(cells, return_inverse=True)
+    rows, cols = np.divmod(cells, n)
+    acc = np.zeros(len(cells))
+    # a sum past the float range is inf, which _check_row_sums reports
     with np.errstate(over="ignore"):
-        np.add.at(adjacency, (src, dst), weights)
-    P = row_normalize(adjacency)
+        np.add.at(acc, cell_of, weights)
+        sums = _dense_row_sums(n, rows, cols, acc)
+    _check_row_sums(sums)
+    vals = acc / sums[rows]
+    # zero-weight arcs and quotients that underflow to 0 leave no entry
+    kept = vals != 0.0
+    rows, cols, vals = rows[kept], cols[kept], vals[kept]
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
     names = {i: label for label, i in index.items()}
     return InteractionGraph(
         node_count=n,
         edges=edges,
-        P=P,
+        ptr=ptr,
+        cols=cols,
+        vals=vals,
         names=names,
         undirected=not directed,
     )
@@ -567,8 +667,20 @@ def influence_rhs(partition: AgentPartition, u: np.ndarray) -> np.ndarray:
 
 
 def stationary_system(graph: InteractionGraph, partition: AgentPartition) -> np.ndarray:
-    """Id - A, the matrix of the stationary system (dense, n x n)."""
-    return system_matrix(graph.P, _base_damp(partition))
+    """Id - A, the matrix of the stationary system (dense, n x n).
+
+    Scattered from the sparse rows into one array: 0.0 - damp * p at each
+    entry, then 1.0 added on the diagonal.  These are the bits of
+    ``system_matrix(graph.P, damp)``, signed zeros included, without the
+    dense P.
+    """
+    damp = _base_damp(partition)
+    n = graph.node_count
+    rows = graph.entry_rows()
+    system = np.zeros((n, n))
+    system[rows, graph.cols] = 0.0 - damp[rows] * graph.vals
+    system.flat[:: n + 1] += 1.0
+    return system
 
 
 def check_feasible(graph: InteractionGraph, partition: AgentPartition) -> None:

@@ -99,6 +99,20 @@ _SIZES = np.arange(1.0, 1025.0)
 _SIZES.setflags(write=False)
 
 
+# a result that sums above the budget by more than this share of it (2^21
+# ulps of the budget) rounded on the ulp grid of entries far above the
+# budget, and is scaled onto it; ordinary results overshoot by a few ulps
+# (under 3e-14 of the budget on the bench instances)
+_OVERSHOOT = 2.0**-32
+# theta carries a cumsum's rounding into each of up to n results, so the
+# overshoot stays under about n^2 roundings at the largest entry top:
+# 2^-53 * n^2 * top, plus n^2 * 2^-1074 among subnormals (a fuzz of 300,000
+# projections stayed below it).  The result is summed only where four times
+# that passes _OVERSHOOT: n^2 * (top + _SUBNORMAL_ULPS) > budget * _OVERSHOOT_REACH
+_OVERSHOOT_REACH = _OVERSHOOT / (4 * 2.0**-53)
+_SUBNORMAL_ULPS = 2.0**-1074 / 2.0**-53
+
+
 # numpy's add-reduce sums fewer than 8 entries in one left-to-right loop and
 # splits its pairwise sum over 8 accumulators from 8 entries up; below this
 # width a sequential sum on Python floats has numpy's bits
@@ -114,9 +128,11 @@ def project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
     entry raises DivergenceError (-inf clips to 0 and is projected).
 
     A budget below half an ulp of the largest entry rounds away against it,
-    and the result is then all zeros.  A vector of fewer than 8 entries
-    runs the same operations on Python floats, which skips numpy's per-call
-    cost and gives the same bits.
+    and the result is then all zeros.  Above the budget, v - theta rounds on
+    the ulp grid of v; when that overshoots the budget by more than
+    ``_OVERSHOOT`` of it, the result is scaled onto it.  A vector of fewer
+    than 8 entries runs the same operations on Python floats, which skips
+    numpy's per-call cost and gives the same bits.
     """
     # written so that NaN fails too
     if not budget > 0.0:
@@ -138,14 +154,21 @@ def _project_array(v: np.ndarray, budget: float) -> np.ndarray:
     dropping = np.sort(v)[::-1]
     csum = dropping.cumsum()
     csum -= budget
-    if csum[0] == dropping[0]:
+    # only entries far above the budget can round it away or overshoot it
+    far = n * n * (float(dropping[0]) + _SUBNORMAL_ULPS) > budget * _OVERSHOOT_REACH
+    if far and csum[0] == dropping[0]:
         # ties would hold at a level an ulp below them; only zero fits
         return np.zeros_like(v)
     sizes = _SIZES[:n] if n <= len(_SIZES) else np.arange(1.0, n + 1.0)
     holds = dropping > csum / sizes
     rho = n - int(holds[::-1].argmax())
-    theta = csum[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+    theta = float(csum[rho - 1]) / rho
+    out = np.maximum(v - theta, 0.0)
+    if far:
+        total = float(out.sum())
+        if total - budget > budget * _OVERSHOOT:
+            out *= budget / total
+    return out
 
 
 def _project_floats(v: np.ndarray, budget: float) -> np.ndarray:
@@ -163,7 +186,9 @@ def _project_floats(v: np.ndarray, budget: float) -> np.ndarray:
     if total <= budget:
         return np.array([x if x > 0.0 else 0.0 for x in vals])
     dropping = sorted(vals, reverse=True)
-    if dropping[0] - budget == dropping[0]:
+    n = len(vals)
+    far = n * n * (dropping[0] + _SUBNORMAL_ULPS) > budget * _OVERSHOOT_REACH
+    if far and dropping[0] - budget == dropping[0]:
         return np.zeros_like(v)
     csum = 0.0
     for size, x in enumerate(dropping, 1):
@@ -172,7 +197,15 @@ def _project_floats(v: np.ndarray, budget: float) -> np.ndarray:
         # the largest entry holds, so theta is always set
         if x > level:
             theta = level
-    return np.array([x - theta if x - theta > 0.0 else 0.0 for x in vals])
+    out = [x - theta if x - theta > 0.0 else 0.0 for x in vals]
+    if far:
+        total = 0.0
+        for x in out:
+            total += x
+        if total - budget > budget * _OVERSHOOT:
+            scale = budget / total
+            out = [x * scale for x in out]
+    return np.array(out)
 
 
 def exact_gradient(graph: InteractionGraph, partition: AgentPartition, u: np.ndarray) -> np.ndarray:
@@ -266,7 +299,8 @@ def exact_optimum(
     sums the bounds.  numpy's pairwise sum is a fixed tree of rounded
     additions, monotone in every term, so a lower sum above the budget or
     an upper sum within it decides the probe without bisecting.  Otherwise
-    the probe bisects every control.
+    the probe bisects every control.  Each bisection with bounds, the final
+    one at lam_hi included, calls ``deriv`` only at midpoints inside them.
     """
     idx = list(partition.controlled)
     payoff = payoff_fn(graph, partition)
@@ -284,13 +318,19 @@ def exact_optimum(
         return u_star, payoff(u_star)
     floor = [g * deriv(budget) for g, deriv in zip(gains, derivs)]
 
-    def control_at(lam: float) -> np.ndarray:
+    brackets = _bisection_brackets(partition, np.array(gains), budget)
+
+    def control_at(lam: float, bounds=None) -> np.ndarray:
         """Each control's inner bisection result at lam.
 
         The test holds at lo and fails at hi, so once mid rounds onto lo or
         hi every further step rewrites the same value and stopping leaves
-        (lo, hi) exactly as 100 steps would.
+        (lo, hi) exactly as 100 steps would.  With certified ``bounds``
+        (lows, highs) on the results at lam, a mid below a control's low
+        holds and one above its high fails without calling ``deriv``: the
+        other answer would leave the result on the wrong side of the bound.
         """
+        lows, highs = ([0.0] * n_ctrl, [budget] * n_ctrl) if bounds is None else (b.tolist() for b in bounds)
         u = np.zeros(n_ctrl)
         for pos in range(n_ctrl):
             if top[pos] <= lam:
@@ -298,20 +338,18 @@ def exact_optimum(
             if floor[pos] >= lam:
                 u[pos] = budget
                 continue
-            g, deriv = gains[pos], derivs[pos]
+            g, deriv, low, high = gains[pos], derivs[pos], lows[pos], highs[pos]
             lo, hi = 0.0, budget
             for _ in range(100):
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
                     break
-                if g * deriv(mid) >= lam:
+                if mid < low or (mid <= high and g * deriv(mid) >= lam):
                     lo = mid
                 else:
                     hi = mid
             u[pos] = 0.5 * (lo + hi)
         return u
-
-    brackets = _bisection_brackets(partition, np.array(gains), budget)
 
     def exceeds(lam: float) -> bool:
         """Whether the bisection results at lam sum above the budget."""
@@ -323,7 +361,7 @@ def exact_optimum(
             if bounds[1].sum() <= budget:
                 return False
         with np.errstate(over="ignore"):
-            return control_at(lam).sum() > budget
+            return control_at(lam, bounds).sum() > budget
 
     u_star = control_at(0.0)
     # at a huge budget the controls can sum past the float range: inf > budget
@@ -339,7 +377,7 @@ def exact_optimum(
             lam_hi = lam
         if lam_hi - lam_lo < 1e-12 * max(1.0, lam_hi):
             break
-    u_star = control_at(lam_hi)
+    u_star = control_at(lam_hi, None if brackets is None else brackets(lam_hi))
     # land exactly on the face when the budget binds
     with np.errstate(over="ignore"):
         s = u_star.sum()

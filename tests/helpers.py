@@ -25,9 +25,35 @@ def graph_from_P(P: np.ndarray, undirected: bool = False) -> InteractionGraph:
     edges = tuple(
         (i, j, float(P[i, j])) for i in range(n) for j in range(n) if P[i, j] > 0
     )
+    return dense_graph(P, edges, {i: i for i in range(n)}, undirected)
+
+
+def dense_graph(P: np.ndarray, edges, names, undirected: bool) -> InteractionGraph:
+    """The graph whose poll matrix is the dense square ``P``: its nonzero
+    entries, in row-major order, become the sparse rows."""
+    P = np.asarray(P, dtype=float)
+    n = P.shape[0]
+    rows, cols = np.nonzero(P)
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     return InteractionGraph(
-        node_count=n, edges=edges, P=P, names={i: i for i in range(n)}, undirected=undirected
+        node_count=n, edges=edges, ptr=ptr, cols=cols, vals=P[rows, cols], names=names, undirected=undirected
     )
+
+
+def reference_poll_table(P: np.ndarray) -> PollTable:
+    """``PollTable`` of the dense ``P``, the oracle for
+    ``PollTable.from_rows``: the nonzeros of P in row-major order and their
+    cumsum along the padded dense rows."""
+    rows, cols = np.divmod(np.flatnonzero(P != 0.0), P.shape[1])
+    counts = np.bincount(rows, minlength=P.shape[0])
+    ends = np.cumsum(counts)
+    slot = np.arange(len(rows)) - (ends - counts)[rows]
+    padded = np.zeros((P.shape[0], int(counts.max(initial=0))))
+    padded[rows, slot] = P[rows, cols]
+    cum = np.cumsum(padded, axis=1)[rows, slot]
+    del padded
+    cum[ends - 1] = 1.0
+    return PollTable(indices=cols, keys=rows + 1j * cum, shape=P.shape, ptr=np.concatenate([[0], ends]))
 
 
 def chain_instance():
@@ -241,13 +267,7 @@ def reference_load_edge_list(path, weighted: bool | None = None, directed: bool 
         if not directed and i != j:
             adjacency[j, i] += w
         edges.append((i, j, w))
-    return InteractionGraph(
-        node_count=n,
-        edges=tuple(edges),
-        P=row_normalize(adjacency),
-        names={i: label for label, i in index.items()},
-        undirected=not directed,
-    )
+    return dense_graph(row_normalize(adjacency), tuple(edges), {i: label for label, i in index.items()}, not directed)
 
 
 def reference_poll_draw(table: PollTable, rows, r: np.ndarray) -> np.ndarray:

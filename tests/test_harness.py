@@ -170,6 +170,16 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert counter.calls == 1
 
+    @pytest.mark.parametrize("scheme", ["gd", "sas", "sgd1", "sgd2", "partial"])
+    def test_base_schemes_never_build_the_dense_poll_matrix(self, tmp_path, scheme):
+        cfg = parse_config(write_config(tmp_path, scheme=scheme, n_iters=20, n_runs=2, out_dir=tmp_path / scheme))
+        instance = build_instance(cfg)
+        # the poll table waits for the first draw
+        assert instance.graph._poll_table is None
+        for seed in (cfg.seed, cfg.seed + 1):
+            run_scheme(cfg, instance, seed)
+        assert instance.graph._dense is None
+
     @pytest.mark.parametrize("budget", [1e308, 5e-324])
     @pytest.mark.parametrize("scheme", ["gd", "sas", "sgd1", "sgd2", "partial"])
     def test_extreme_budgets_run_without_warnings(self, tmp_path, scheme, budget):

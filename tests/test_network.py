@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import pickle
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +16,16 @@ from opinionshape.errors import DanglingNodeError, EdgeListParseError, Infeasibl
 from opinionshape.network import (
     ActivationModel,
     AgentPartition,
-    InteractionGraph,
     bundled_network_path,
     check_feasible,
     load_edge_list,
     random_partition,
     row_normalize,
+    stationary_system,
     substochastic_matrix,
 )
 
-from helpers import graph_from_P, random_instance, reference_load_edge_list
+from helpers import graph_from_P, random_instance, reference_load_edge_list, reference_poll_table
 
 
 def write(tmp_path, text, name="g.edges"):
@@ -98,7 +100,7 @@ class TestLoadEdgeList:
     def test_nan_poll_row_rejected(self):
         P = np.array([[np.nan, np.nan], [0.0, 1.0]])
         with pytest.raises(ValueError, match="sum to 1"):
-            InteractionGraph(node_count=2, edges=(), P=P)
+            graph_from_P(P)
 
     def test_one_based_ids_normalized(self, tmp_path):
         g = load_edge_list(write(tmp_path, "1 2\n2 3\n3 1\n"))
@@ -176,6 +178,53 @@ class TestLoadEdgeList:
         assert got.edges == want.edges
         assert got.names == want.names
         assert got.node_count == want.node_count and got.undirected == want.undirected
+        table, want_table = got.poll_cdf(), reference_poll_table(want.P)
+        assert table.keys.tobytes() == want_table.keys.tobytes()
+        assert table.indices.tobytes() == want_table.indices.tobytes()
+        assert table.row_lists() == want_table.row_lists()
+        # every other node stubborn and the rest controlled, with alpha up
+        # to 1 (a zero row of A): solvable whatever the arcs
+        n = got.node_count
+        controlled, stubborn = tuple(range(1, n, 2)), tuple(range(0, n, 2))
+        alpha = np.zeros(n)
+        alpha[list(controlled)] = [data.draw(st.sampled_from([0.3, 0.6, 1.0])) for _ in controlled]
+        partition = AgentPartition(
+            controlled=controlled, uncontrolled=(), stubborn=stubborn, alpha=alpha,
+            h={i: 0.5 for i in stubborn}, w={i: SaturatingCurve() for i in controlled},
+        )
+        damp = 1.0 - alpha
+        damp[list(stubborn)] = 0.0
+        want_system = np.eye(n) - damp[:, None] * want.P
+        # signed zeros included
+        assert stationary_system(got, partition).tobytes() == want_system.tobytes()
+        want_coef = np.linalg.solve(want_system.T, np.ones(n))
+        assert got.payoff_adjoint(partition).tobytes() == want_coef.tobytes()
+
+    def test_row_sums_have_the_dense_pairwise_bits(self, tmp_path):
+        # node 0's ten arcs spread over 180 columns: numpy sums the dense
+        # row pairwise to 57.7, while a left-to-right sum of the ten weights
+        # gives 57.699999999999996, and P's bits follow the row sum
+        weights = [0.4, 1.3, 6.7, 6.4, 6.1, 3.9, 9.9, 9.7, 6.8, 6.5]
+        targets = [1, *range(20, 200, 20)]
+        dense_row = np.zeros(200)
+        dense_row[targets] = weights
+        sequential = 0.0
+        for w in weights:
+            sequential += w
+        assert sequential != dense_row.sum()
+        lines = [f"0 {j} {w!r}" for j, w in zip(targets, weights)]
+        lines += [f"{i} {(i + 1) % 200} 1.0" for i in range(1, 200)]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        got = load_edge_list(path, directed=True)
+        want = reference_load_edge_list(path, directed=True)
+        assert got.P.tobytes() == want.P.tobytes()
+        assert got.vals[:10].tobytes() == (np.array(weights) / dense_row.sum()).tobytes()
+
+    def test_sparse_rows_stay_read_only_after_pickling(self, karate_graph):
+        copy = pickle.loads(pickle.dumps(karate_graph))
+        for graph in (karate_graph, copy):
+            assert not any(a.flags.writeable for a in (graph.ptr, graph.cols, graph.vals, graph.P))
+        assert copy.P.tobytes() == karate_graph.P.tobytes()
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_repeated_arcs_add_up_in_file_order(self, tmp_path, directed):
@@ -192,6 +241,38 @@ class TestLoadEdgeList:
         g2 = load_edge_list(path)
         assert np.array_equal(g1.P, g2.P)
         assert g1.edges == g2.edges
+
+
+def _peak_bytes(call):
+    """The result of ``call()`` and the peak of the memory it allocated, as
+    tracemalloc sees it (numpy reports its buffers; LAPACK's do not count)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_base_scheme_build_holds_one_dense_array(self, tmp_path):
+        # a ring plus three random arcs per node; only the stationary system
+        # is n x n: the load and the poll table are O(edges + n)
+        n = 1000
+        rng = np.random.default_rng(11)
+        lines = []
+        for i in range(n):
+            others = np.delete(np.arange(n), sorted({i, (i + 1) % n}))
+            lines += [f"{i} {(i + 1) % n}"] + [f"{i} {j}" for j in sorted(rng.choice(others, 3, replace=False))]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        dense = n * n * 8
+        graph, peak = _peak_bytes(lambda: load_edge_list(path))
+        assert peak < 0.5 * dense
+        _, peak = _peak_bytes(lambda: random_partition(graph, (20, 960, 20), 0.6, seed=1))
+        assert peak < 1.5 * dense
+        _, peak = _peak_bytes(lambda: graph.poll_cdf().row_lists())
+        assert peak < 0.5 * dense
+        assert graph._dense is None
 
 
 class TestRandomPartition:

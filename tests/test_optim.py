@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from opinionshape import optim
+from opinionshape import curves, optim
 from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
 from opinionshape.dynamics import total_payoff
 from opinionshape.errors import DivergenceError
@@ -166,6 +166,11 @@ class TestProjection:
             out = project_budget_simplex(v, budget)
             assert np.all(out >= 0.0) and out.sum() <= budget
             return
+        total = float(want.sum())
+        if total - budget > budget * optim._OVERSHOOT:
+            # the oracle overshot the budget on the ulp grid of entries far
+            # above it; the projection scales that point onto the budget
+            want = want * (budget / total)
         assert project_budget_simplex(v, budget).tobytes() == want.tobytes()
 
     def test_bits_match_reference_beyond_the_cached_sizes(self):
@@ -180,6 +185,15 @@ class TestProjection:
             reference_project_budget_simplex(v, 1e-20)
         out = project_budget_simplex(v, 1e-20)
         assert np.all(out == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 9])
+    def test_tiny_budget_is_not_overshot_on_the_entries_ulp_grid(self, n):
+        # v - (v - budget) rounds on v's ulp grid, 1.7e-24 wide here: left
+        # as it is, one entry returns 1.00006e-20 and nine (the array path)
+        # sum to 1.00056e-20
+        out = project_budget_simplex(np.full(n, 9.06319142e-09), 1e-20)
+        assert np.all(out >= 0.0)
+        assert math.fsum(out.tolist()) <= 1e-20 * (1.0 + 1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_is_divergence(self, bad):
@@ -576,6 +590,33 @@ class TestBisectionBrackets:
                 continue
             for lo, hi, gain in zip(*bounds, gains):
                 assert lo <= reference_bisection(gain, curve, lam, budget) <= hi
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scale=SCALES,
+        budget=BUDGETS,
+        gains=st.lists(magnitudes(-6, 6), min_size=1, max_size=7),
+        lams=st.lists(magnitudes(-320, 300), min_size=1, max_size=6),
+    )
+    def test_pointwise_brackets_have_the_array_bits(self, scale, budget, gains, lams):
+        # below curves._POINTWISE_WIDTH gains the brackets run on Python
+        # floats; a width of 0 sends the same gains down the array path
+        pointwise = SaturatingCurve(scale).bisection_brackets(np.array(gains), budget)
+        saved = curves._POINTWISE_WIDTH
+        curves._POINTWISE_WIDTH = 0
+        try:
+            arrays = SaturatingCurve(scale).bisection_brackets(np.array(gains), budget)
+        finally:
+            curves._POINTWISE_WIDTH = saved
+        if pointwise is None:
+            assert arrays is None
+            return
+        for lam in lams:
+            got, want = pointwise(lam), arrays(lam)
+            if want is None:
+                assert got is None
+                continue
+            assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
 
     def test_brackets_are_narrow_at_the_paper_settings(self):
         gains = np.array([0.5, 1.0, 3.0])
