@@ -18,11 +18,11 @@ the two-time-scale scheme, bit for bit on a shared event stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import ConstantCurve, Curve
+from .curves import ConstantCurve, Curve, eval_groups, group_curves
 from .dynamics import initial_state, sample_poll_targets
 from .network import STUBBORN, AgentPartition, InteractionGraph, fixed_point, solve, system_matrix
 from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, run_loop
@@ -37,6 +37,8 @@ class GeneralModel:
 
     alpha_curves: dict[int, Curve]
     w_curves: dict[int, Curve]
+    # (control nodes, alpha groups, w groups), built by the first tables call
+    _groups: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def alpha_values(self, partition: AgentPartition, u: np.ndarray) -> np.ndarray:
         out = np.zeros(partition.node_count)
@@ -44,18 +46,31 @@ class GeneralModel:
         return out
 
     def tables(self, partition: AgentPartition, u: np.ndarray):
-        """alpha, alpha', w, w' per control position."""
-        a = np.zeros(len(partition.controlled))
-        ad = np.zeros_like(a)
-        w = np.zeros_like(a)
-        wd = np.zeros_like(a)
-        for pos, node in enumerate(partition.controlled):
-            x = float(u[pos])
-            a[pos] = self.alpha_curves[node].value(x)
-            ad[pos] = self.alpha_curves[node].deriv(x)
-            w[pos] = self.w_curves[node].value(x)
-            wd[pos] = self.w_curves[node].deriv(x)
-        return a, ad, w, wd
+        """alpha, alpha', w, w' per control position, on one control vector
+        or a stack of rows: one array call per curve group."""
+        nodes = partition.controlled
+        if self._groups is None or self._groups[0] != nodes:
+            alpha = _merged_groups([self.alpha_curves[i] for i in nodes])
+            w = _merged_groups([self.w_curves[i] for i in nodes])
+            object.__setattr__(self, "_groups", (nodes, alpha, w))
+        _, alpha, w = self._groups
+        return (
+            eval_groups(alpha, u, "values", "value"),
+            eval_groups(alpha, u, "derivs", "deriv"),
+            eval_groups(w, u, "values", "value"),
+            eval_groups(w, u, "derivs", "deriv"),
+        )
+
+
+class _Levels(ConstantCurve):
+    """ConstantCurves merged into one group: ``level`` holds one level per
+    position, which ``values`` broadcasts along the last axis."""
+
+
+def _merged_groups(curves: list[Curve]):
+    """``curves.group_curves`` with every ConstantCurve in one group of levels."""
+    levels = _Levels(np.array([c.level for c in curves if type(c) is ConstantCurve], dtype=float))
+    return group_curves([levels if type(c) is ConstantCurve else c for c in curves])
 
 
 def model_from_partition(partition: AgentPartition) -> GeneralModel:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import Curve, SaturatingCurve
+from .curves import Curve, SaturatingCurve, eval_groups, group_curves
 from .errors import DanglingNodeError, EdgeListParseError, InfeasibleError, NonFiniteRowError
 
 # node codes off the controlled set, whose codes are control positions
@@ -359,20 +359,11 @@ class AgentPartition:
         return members
 
     def curve_groups(self) -> tuple[tuple[Curve, np.ndarray], ...]:
-        """Controls grouped by reward-curve object, built on the first call.
-
-        One ``(curve, positions)`` pair per distinct curve object, in order
-        of first appearance, with read-only control positions.
-        """
+        """Controls grouped by reward-curve object (``curves.group_curves``),
+        built on the first call."""
         groups = self._groups
         if groups is None:
-            members: dict[int, tuple[Curve, list[int]]] = {}
-            for pos, node in enumerate(self.controlled):
-                curve = self.w[node]
-                members.setdefault(id(curve), (curve, []))[1].append(pos)
-            groups = tuple((curve, np.array(positions)) for curve, positions in members.values())
-            for _, positions in groups:
-                positions.setflags(write=False)
+            groups = group_curves([self.w[node] for node in self.controlled])
             object.__setattr__(self, "_groups", groups)
         return groups
 
@@ -386,33 +377,11 @@ class AgentPartition:
 
     def w_values(self, u: np.ndarray) -> np.ndarray:
         """w_i(u_i) per control, one array call per batched curve."""
-        return self._eval_curves(u, "values", "value")
+        return eval_groups(self.curve_groups(), u, "values", "value")
 
     def w_derivs(self, u: np.ndarray) -> np.ndarray:
         """w_i'(u_i) per control, one array call per batched curve."""
-        return self._eval_curves(u, "derivs", "deriv")
-
-    def _eval_curves(self, u: np.ndarray, batch: str, point: str) -> np.ndarray:
-        # bit for bit np.array([w[node].<point>(float(u[pos])) for ...]);
-        # a curve without the array method <batch> goes point by point
-        u = np.asarray(u, dtype=float)
-        groups = self.curve_groups()
-        if len(groups) == 1 and hasattr(groups[0][0], batch):
-            # one curve covers every control: no gather, no scatter
-            return getattr(groups[0][0], batch)(u)
-        # one control vector or a stack of rows: gather and scatter the
-        # columns through the transposes; u[..., positions] would cost the
-        # one-vector path every tick takes five times u[positions]
-        out = np.empty(u.shape[:-1] + (len(self.controlled),))
-        cols, out_cols = u.T, out.T
-        for curve, positions in groups:
-            xs = cols[positions]
-            if hasattr(curve, batch):
-                out_cols[positions] = getattr(curve, batch)(xs)
-            else:
-                f = getattr(curve, point)
-                out_cols[positions] = np.reshape([f(x) for x in xs.ravel().tolist()], xs.shape)
-        return out
+        return eval_groups(self.curve_groups(), u, "derivs", "deriv")
 
 
 @dataclass(frozen=True)

@@ -474,6 +474,18 @@ def reference_w_derivs(partition: AgentPartition, u: np.ndarray) -> np.ndarray:
     return np.array([partition.w[n].deriv(float(u[p])) for p, n in enumerate(partition.controlled)])
 
 
+def reference_tables(model: GeneralModel, partition: AgentPartition, u: np.ndarray):
+    """The scalar ``GeneralModel.tables``: four curve calls per control."""
+    a, ad, w, wd = (np.zeros(len(partition.controlled)) for _ in range(4))
+    for pos, node in enumerate(partition.controlled):
+        x = float(u[pos])
+        a[pos] = model.alpha_curves[node].value(x)
+        ad[pos] = model.alpha_curves[node].deriv(x)
+        w[pos] = model.w_curves[node].value(x)
+        wd[pos] = model.w_curves[node].deriv(x)
+    return a, ad, w, wd
+
+
 def reference_tick_fast_updates(
     grad_table: np.ndarray,
     pollers: np.ndarray,

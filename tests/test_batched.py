@@ -5,7 +5,10 @@ per-entry implementations, kept in ``helpers.py``."""
 
 from __future__ import annotations
 
+import math
 import pickle
+import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,10 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opinionshape import sas
-from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
+from opinionshape.curves import _UFUNC_WIDTH, ConstantCurve, LinearCurve, SaturatingCurve, group_curves
 from opinionshape.dynamics import gossip_step, initial_state, payoff_fn
 from opinionshape.errors import DivergenceError
-from opinionshape.general import GeneralModel, general_grad_update, known_p_updates, value_update
+from opinionshape.general import (
+    GeneralModel,
+    _merged_groups,
+    general_grad_update,
+    known_p_updates,
+    study_model,
+    value_update,
+)
 from opinionshape.network import ActivationModel, AgentPartition
 from opinionshape.optim import LocalClocks, StepSchedule
 from opinionshape.partial_obs import hit_law_oracle, observed_set, restricted_grad_oracle, sample_hidden
@@ -31,6 +41,7 @@ from helpers import (
     reference_known_p_updates,
     reference_relax_scalars,
     reference_restricted_grad_oracle,
+    reference_tables,
     reference_tick_fast_updates,
     reference_value_update,
     reference_w_derivs,
@@ -166,6 +177,82 @@ class TestCurveGroups:
         assert all(not g[1].flags.writeable for g in copy.curve_groups())
         # the shared object stays one group after the round trip
         assert copy.curve_groups()[0][0] is copy.w[0] is copy.w[2]
+
+
+# the edge of the square's float range, where Python's ** starts to raise
+ROOT_MAX = math.sqrt(sys.float_info.max)
+EDGE_CONTROLS = [
+    math.nextafter(ROOT_MAX, 0.0), ROOT_MAX, math.nextafter(ROOT_MAX, math.inf), 1e160, 1e308,
+    math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324,
+]
+WIDTHS = [_UFUNC_WIDTH - 1, _UFUNC_WIDTH, 80]
+
+
+def scalar_derivs(curve: SaturatingCurve, xs: np.ndarray) -> np.ndarray:
+    return np.array([curve.deriv(x) for x in xs.ravel().tolist()]).reshape(xs.shape)
+
+
+class TestSaturatingDerivs:
+    """``derivs`` takes Python floats below ``_UFUNC_WIDTH`` entries and
+    one ``np.float_power`` chain from it up; both give ``deriv``'s bits."""
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_log_uniform_controls(self, width):
+        # libm pow and a product differ on under 0.1% of the squares
+        curve = SaturatingCurve(0.1)
+        rows = width * (100_000 // width + 1)
+        xs = np.exp(np.random.default_rng(width).uniform(math.log(1e-13), math.log(148.0), rows))
+        want = scalar_derivs(curve, xs)
+        got = np.concatenate([curve.derivs(row) for row in xs.reshape(-1, width)])
+        assert got.tobytes() == want.tobytes()
+        assert curve.derivs(xs.reshape(-1, width)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 1e-3])
+    def test_edge_controls(self, width, scale):
+        curve = SaturatingCurve(scale)
+        fill = np.linspace(0.0, 5.0, width)
+        for start in range(0, len(EDGE_CONTROLS), width):
+            xs = fill.copy()
+            chunk = EDGE_CONTROLS[start : start + width]
+            xs[: len(chunk)] = chunk
+            assert curve.derivs(xs).tobytes() == scalar_derivs(curve, xs).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 8), (3, 8), (4, 5, 6), (1, 80), (_UFUNC_WIDTH,), (0,), (0, 80)])
+    def test_stacks_keep_their_shape(self, shape):
+        # (3, 8) and (4, 5, 6) reach the width only as a whole stack
+        curve = SaturatingCurve(0.3)
+        xs = np.random.default_rng(1).uniform(0.0, 5.0, shape)
+        got = curve.derivs(xs)
+        assert got.shape == shape
+        assert got.tobytes() == scalar_derivs(curve, xs).tobytes()
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_zero_square_raises_on_both_paths(self, width, rows):
+        curve = SaturatingCurve(0.25)
+        with pytest.raises(ZeroDivisionError):
+            curve.deriv(-0.25)
+        xs = np.linspace(0.0, 1.0, width)
+        xs[width // 2] = -0.25
+        if rows is not None:
+            xs = np.tile(xs, (rows, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroDivisionError):
+                curve.derivs(xs)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_flat_or_infinite_scale_rounds_as_python(self, width):
+        # 0 / 0 raises in Python and inf / inf is NaN: numpy's invalid flag
+        # sends both to the Python floats
+        xs = np.linspace(0.0, 1.0, width)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroDivisionError):
+                SaturatingCurve(0.0).derivs(xs)
+            curve = SaturatingCurve(math.inf)
+            assert curve.derivs(xs).tobytes() == scalar_derivs(curve, xs).tobytes()
 
 
 @st.composite
@@ -422,6 +509,46 @@ class TestGeneralOneRow:
         )
         assert got.tobytes() == want.tobytes()
         assert clocks.counts.tolist() == ref_clocks.counts.tolist()
+
+
+class TestGeneralTables:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_curves(self, data):
+        # constants merge into one group of levels; other curves group by object
+        pool = data.draw(st.lists(CURVES, min_size=1, max_size=5))
+        n_ctrl = data.draw(st.integers(0, 30))
+        picks = st.lists(st.integers(0, len(pool) - 1), min_size=2 * n_ctrl, max_size=2 * n_ctrl)
+        chosen = [pool[k] for k in data.draw(picks)]
+        partition = partition_with([SaturatingCurve()] * n_ctrl)
+        model = GeneralModel(dict(enumerate(chosen[:n_ctrl])), dict(enumerate(chosen[n_ctrl:])))
+        u = np.array(data.draw(st.lists(CONTROLS, min_size=n_ctrl, max_size=n_ctrl)), dtype=float)
+        want = reference_tables(model, partition, u)
+        assert [t.tobytes() for t in model.tables(partition, u)] == [t.tobytes() for t in want]
+        # a stack of rows gives each row's tables
+        stack = np.stack([u, u[::-1], np.zeros(n_ctrl)])
+        rows = [reference_tables(model, partition, row) for row in stack]
+        for k, table in enumerate(model.tables(partition, stack)):
+            assert table.shape == stack.shape
+            assert table.tobytes() == np.stack([r[k] for r in rows]).tobytes()
+
+    def test_groups_follow_the_partition(self, karate_partition):
+        model = study_model(karate_partition, 0, SaturatingCurve(0.1))
+        u = np.array([0.5, 1.5, 3.0])
+        flipped = replace(karate_partition, controlled=karate_partition.controlled[::-1])
+        for partition in (karate_partition, flipped, karate_partition):
+            got = model.tables(partition, u)
+            want = reference_tables(model, partition, u)
+            assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+
+    def test_constants_merge_into_one_group(self):
+        flat, other, curve = ConstantCurve(0.2), ConstantCurve(0.7), SaturatingCurve(0.1)
+        curves = [curve, flat, other, curve, flat]
+        assert len(group_curves(curves)) == 3
+        (first, at_first), (levels, at_levels) = _merged_groups(curves)
+        assert first is curve and at_first.tolist() == [0, 3]
+        assert levels.level.tolist() == [0.2, 0.7, 0.2] and at_levels.tolist() == [1, 2, 4]
+        assert not at_levels.flags.writeable
 
 
 @st.composite
