@@ -6,27 +6,18 @@ The built-in curves also evaluate a float array in one call
 (``values``/``derivs``), with the same bits as their scalar methods; both
 take an array of any shape, a stack of control rows included, and keep it.
 
-A curve may also offer ``bisection_brackets(gains, budget)``, certified
-bounds on the inner bisection of ``optim.exact_optimum``; a curve without
-it is bisected exactly, as before.
+For ``SaturatingCurve`` rewards the exact optimum of the convex case has
+a closed form, ``saturating_optimum``; ``optim.exact_optimum`` bisects
+every other curve set.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
-# values inside this range are normal doubles with room to spare, so each
-# IEEE operation on them rounds with a relative error under one ulp
-_SAFE_LO = 2.0**-1000
-_SAFE_HI = 2.0**1000
-# below this many gains, bisection brackets are computed on Python floats:
-# numpy's per-call cost outweighs the loop (3 gains: 4.6 against 11.8 us a
-# call; the two break even near 10 gains)
-_POINTWISE_WIDTH = 8
 # from this many controls up, SaturatingCurve.derivs is one numpy ufunc
 # chain; below it numpy's per-call cost outweighs the Python loop (best of
 # 7 x 20,000 calls, list against ufunc: 3 controls 1.0 against 3.3 us, 20
@@ -59,7 +50,14 @@ class SaturatingCurve:
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         # IEEE add and divide round in numpy exactly as on Python floats
-        return xs / (xs + self.scale)
+        try:
+            with np.errstate(divide="raise", invalid="raise"):
+                return xs / (xs + self.scale)
+        except FloatingPointError:
+            # a zero denominator, or inf / inf: the Python floats below
+            # raise or give a quiet nan as value does
+            s = self.scale
+            return np.reshape([x / (x + s) for x in np.ravel(xs).tolist()], np.shape(xs))
 
     def derivs(self, xs: np.ndarray) -> np.ndarray:
         # Python's ** on floats is libm pow, and so is np.float_power's
@@ -85,73 +83,44 @@ class SaturatingCurve:
             out = [self.deriv(x) for x in points]
         return np.array(out)
 
-    def bisection_brackets(self, gains: np.ndarray, budget: float):
-        """Certified bounds on ``exact_optimum``'s inner bisection, or None.
 
-        Returns a function of a level lam giving arrays (lo, hi) with
-        lo <= r <= hi per gain g, where r is the result of bisecting
-        g * deriv(x) >= lam over [0, budget], at most 100 steps; or None at
-        a lam it cannot bound.  The exact marginal g * s / (x + s)^2 crosses
-        lam at sqrt(g * s / lam) - s.  While every value involved lies in
-        [2^-1000, 2^1000], each operation of ``deriv`` and of that estimate
-        rounds within an ulp, so the computed test switches a few ulps of
-        sqrt(g * s / lam) from the estimate.  The bracket widens it by 1024
-        of those ulps, by budget * 2^-99 for the step cap and by an ulp of
-        budget, then clips it to [0, budget].  The whole function is None
-        when ``deriv`` can overflow on [0, budget] or underflow at 0.
-        """
-        s = self.scale
-        try:
-            if not (s > 0.0 and s * s >= _SAFE_LO and math.isfinite((budget + s) ** 2)):
-                return None
-        except OverflowError:
-            return None
-        gs = gains * s
-        g_min, g_max = float(gains.min()), float(gains.max())
-        gs_min, gs_max = float(gs.min()), float(gs.max())
-        # written so that NaN fails too
-        if not (_SAFE_LO <= min(g_min, gs_min) and max(g_max, gs_max) <= _SAFE_HI):
-            return None
-        pad = budget * 2.0**-99 + math.ulp(budget)
-        points = gs.tolist() if len(gs) < _POINTWISE_WIDTH else None
+def saturating_optimum(gains: np.ndarray, scales: np.ndarray, budget: float) -> np.ndarray | None:
+    """The maximizer of sum_i g_i * u_i / (u_i + s_i) over {u >= 0,
+    sum(u) <= budget}: the KKT water-filling point in closed form (Boyd and
+    Vandenberghe, Convex Optimization, 2004, Example 5.2).  None unless
+    every scale s_i is positive and finite, some gain is positive and every
+    intermediate value stays in the float range.
 
-        def brackets(lam: float) -> tuple[np.ndarray, np.ndarray] | None:
-            # the extremes bound every g * s / lam and lam / g
-            if not (
-                _SAFE_LO <= lam <= _SAFE_HI
-                and _SAFE_LO <= gs_min / lam
-                and gs_max / lam <= _SAFE_HI
-                and _SAFE_LO <= lam / g_max
-                and lam / g_min <= _SAFE_HI
-            ):
-                return None
-            if points is not None:
-                # the array operations below on Python floats, without
-                # numpy's per-call cost: IEEE sqrt and division round alike,
-                # and math.ulp is np.spacing on positive floats
-                lo, hi = [], []
-                for x in points:
-                    root = math.sqrt(x / lam)
-                    width = math.ulp(root) * 1024.0 + pad
-                    est = root - s
-                    low, high = est - width, est + width
-                    lo.append(min(low, budget) if low > 0.0 else 0.0)
-                    hi.append(min(high, budget) if high > 0.0 else 0.0)
-                return np.array(lo), np.array(hi)
-            root = np.sqrt(gs / lam)
-            width = np.spacing(root)
-            width *= 1024.0
-            width += pad
-            est = root - s
-            lo = est - width
-            np.maximum(lo, 0.0, out=lo)
-            np.minimum(lo, budget, out=lo)
-            hi = est + width
-            np.maximum(hi, 0.0, out=hi)
-            np.minimum(hi, budget, out=hi)
-            return lo, hi
-
-        return brackets
+    With k_i = sqrt(g_i / s_i), an active control gets u_i =
+    s_i * (k_i / sqrt(lam) - 1), and the budget fixes sqrt(lam) =
+    T / (budget + S), with T = sum sqrt(g_i) * sqrt(s_i) and S = sum s_i
+    over the active set.  Controls join by k, largest first, while their k
+    beats the sqrt(lam) of those before them.  Each active entry is
+    budget * r_i + s_i * sum_j s_j * (k_i - k_j) / T, r_i = sqrt(g_i) *
+    sqrt(s_i) / T, the sum taken against the smallest active k so that
+    close or tied k do not cancel against the scales.
+    """
+    if not np.all((scales > 0.0) & (scales < np.inf)):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        root_g, root_s = np.sqrt(np.maximum(gains, 0.0)), np.sqrt(scales)
+        keys = root_g / root_s
+        order = np.argsort(-keys, kind="stable")
+        keys, spans, weights = keys[order], scales[order], (root_g * root_s)[order]
+        totals = weights.cumsum()
+        levels = totals / (budget + spans.cumsum())
+        stops = np.flatnonzero(keys[1:] <= levels[:-1])
+        k = int(stops[0]) + 1 if len(stops) else len(keys)
+        keys, spans, total = keys[:k], spans[:k], totals[k - 1]
+        above = keys - keys[-1]
+        spread = spans.sum() * above - spans @ above
+        active = budget * (weights[:k] / total) + spans * (spread / total)
+    # every gain zero (0 / 0), a NaN gain or an overflow
+    if not np.all(np.isfinite(active)):
+        return None
+    u = np.zeros(len(gains))
+    u[order[:k]] = np.maximum(active, 0.0)
+    return u
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .sas import _tick_fast_updates, owned_cells, poll_blocks
 NOISE_SEED_TAG = 0x5EED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralModel:
     """Per-controlled-agent influence and reward curves."""
 

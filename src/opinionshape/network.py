@@ -34,7 +34,7 @@ UNCONTROLLED = -1
 STUBBORN = -2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionGraph:
     """A gossip network with its row-stochastic poll matrix P.
 
@@ -152,7 +152,7 @@ GUIDE_PASSES = 4
 GUIDE_BUCKETS = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PollTable:
     """Row-wise cumulative poll law stored over each row's neighbours only.
 
@@ -284,7 +284,7 @@ class PollTable:
         return np.searchsorted(self.keys, query, side="right")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentPartition:
     """Disjoint exhaustive split of the nodes into S, S1 and S0.
 
@@ -384,7 +384,7 @@ class AgentPartition:
         return eval_groups(self.curve_groups(), u, "derivs", "deriv")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActivationModel:
     """Which agents wake up each tick.
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curves import SaturatingCurve, saturating_optimum
 from .dynamics import payoff_coefficients, payoff_fn
 from .errors import DivergenceError
 from .network import AgentPartition, InteractionGraph
@@ -286,21 +287,16 @@ def exact_optimum(
     """Exact maximizer of the total payoff over the budget simplex.
 
     The objective separates across controls, so the optimum equalizes the
-    marginal payoffs c_i * alpha_i * w_i'(u_i) at some level lam >= 0; a
-    double bisection (outer on lam, inner on each u_i) pins it down.  With
-    strictly increasing reward curves the budget binds; if every marginal
-    is zero the zero control is returned.
-
-    The inner search bisects [0, budget] for the largest u_i with
-    g_i * w_i'(u_i) >= lam, up to 100 steps.  One shortcut comes first:
-    when one curve object covers every control (as in every
-    ``random_partition``), offers certified bounds on that result
-    (``bisection_brackets``) and every gain is positive, a probe of lam
-    sums the bounds.  numpy's pairwise sum is a fixed tree of rounded
-    additions, monotone in every term, so a lower sum above the budget or
-    an upper sum within it decides the probe without bisecting.  Otherwise
-    the probe bisects every control.  Each bisection with bounds, the final
-    one at lam_hi included, calls ``deriv`` only at midpoints inside them.
+    marginal payoffs c_i * alpha_i * w_i'(u_i) at some level lam >= 0.  If
+    every marginal is zero the zero control is returned.  When every
+    control's curve is a ``SaturatingCurve`` (any scales; a subclass may
+    change ``deriv``), ``curves.saturating_optimum`` gives the point in
+    closed form.  Every other curve set takes a double bisection: the outer
+    one on lam, to a relative width of 1e-12 within 200 halvings, and the
+    inner one on each u_i, the largest u_i in [0, budget] with
+    g_i * w_i'(u_i) >= lam, up to 100 steps.  With strictly increasing
+    reward curves the budget binds, and a bisection result within 1e-6 of
+    it is scaled onto the face.
     """
     idx = list(partition.controlled)
     payoff = payoff_fn(graph, partition)
@@ -308,7 +304,8 @@ def exact_optimum(
         return np.zeros(0), payoff(np.zeros(0))
     coef = payoff_coefficients(graph, partition)
     gains = (coef[idx] * partition.alpha[idx]).tolist()
-    derivs = [partition.w[i].deriv for i in idx]
+    curves = [partition.w[i] for i in idx]
+    derivs = [curve.deriv for curve in curves]
     n_ctrl = len(idx)
 
     top = [g * deriv(0.0) for g, deriv in zip(gains, derivs)]
@@ -316,21 +313,20 @@ def exact_optimum(
     if lam_hi <= 0.0:
         u_star = np.zeros(n_ctrl)
         return u_star, payoff(u_star)
+
+    if all(type(curve) is SaturatingCurve for curve in curves):
+        u_star = saturating_optimum(np.array(gains), np.array([curve.scale for curve in curves]), budget)
+        if u_star is not None:
+            return u_star, payoff(u_star)
     floor = [g * deriv(budget) for g, deriv in zip(gains, derivs)]
 
-    brackets = _bisection_brackets(partition, np.array(gains), budget)
-
-    def control_at(lam: float, bounds=None) -> np.ndarray:
+    def control_at(lam: float) -> np.ndarray:
         """Each control's inner bisection result at lam.
 
         The test holds at lo and fails at hi, so once mid rounds onto lo or
         hi every further step rewrites the same value and stopping leaves
-        (lo, hi) exactly as 100 steps would.  With certified ``bounds``
-        (lows, highs) on the results at lam, a mid below a control's low
-        holds and one above its high fails without calling ``deriv``: the
-        other answer would leave the result on the wrong side of the bound.
+        (lo, hi) exactly as 100 steps would.
         """
-        lows, highs = ([0.0] * n_ctrl, [budget] * n_ctrl) if bounds is None else (b.tolist() for b in bounds)
         u = np.zeros(n_ctrl)
         for pos in range(n_ctrl):
             if top[pos] <= lam:
@@ -338,30 +334,18 @@ def exact_optimum(
             if floor[pos] >= lam:
                 u[pos] = budget
                 continue
-            g, deriv, low, high = gains[pos], derivs[pos], lows[pos], highs[pos]
+            g, deriv = gains[pos], derivs[pos]
             lo, hi = 0.0, budget
             for _ in range(100):
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
                     break
-                if mid < low or (mid <= high and g * deriv(mid) >= lam):
+                if g * deriv(mid) >= lam:
                     lo = mid
                 else:
                     hi = mid
             u[pos] = 0.5 * (lo + hi)
         return u
-
-    def exceeds(lam: float) -> bool:
-        """Whether the bisection results at lam sum above the budget."""
-        bounds = None if brackets is None else brackets(lam)
-        if bounds is not None:
-            # no overflow: brackets exist only for budgets below 2^512
-            if bounds[0].sum() > budget:
-                return True
-            if bounds[1].sum() <= budget:
-                return False
-        with np.errstate(over="ignore"):
-            return control_at(lam, bounds).sum() > budget
 
     u_star = control_at(0.0)
     # at a huge budget the controls can sum past the float range: inf > budget
@@ -371,31 +355,20 @@ def exact_optimum(
     lam_lo = 0.0
     for _ in range(200):
         lam = 0.5 * (lam_lo + lam_hi)
-        if exceeds(lam):
-            lam_lo = lam
-        else:
-            lam_hi = lam
-        if lam_hi - lam_lo < 1e-12 * max(1.0, lam_hi):
+        with np.errstate(over="ignore"):
+            if control_at(lam).sum() > budget:
+                lam_lo = lam
+            else:
+                lam_hi = lam
+        if lam_hi - lam_lo < 1e-12 * lam_hi:
             break
-    u_star = control_at(lam_hi, None if brackets is None else brackets(lam_hi))
+    u_star = control_at(lam_hi)
     # land exactly on the face when the budget binds
     with np.errstate(over="ignore"):
         s = u_star.sum()
     if s > 0:
         u_star = u_star * (budget / s) if abs(s - budget) < 1e-6 else u_star
     return u_star, payoff(u_star)
-
-
-def _bisection_brackets(partition: AgentPartition, gains: np.ndarray, budget: float):
-    """A function lam -> (lo, hi) bounding every control's bisection result
-    at lam (or None at a lam the curve cannot bound), from the curve's
-    ``bisection_brackets``; None unless one curve covers every control,
-    every gain is positive and the curve offers bounds on [0, budget]."""
-    groups = partition.curve_groups()
-    if len(groups) != 1 or not np.all(gains > 0.0):
-        return None
-    make = getattr(groups[0][0], "bisection_brackets", None)
-    return None if make is None else make(gains, budget)
 
 
 def stationarity_residual(

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# helpers holds shared assertions: rewritten, they also run under python -O
+pytest.register_assert_rewrite("helpers")
 
 from opinionshape.network import ActivationModel, bundled_network_path, load_edge_list, random_partition
 from opinionshape.optim import StepSchedule, exact_optimum

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import decimal
 import math
+from decimal import Decimal
 from itertools import combinations
 from pathlib import Path
 
@@ -203,7 +205,7 @@ def reference_exact_optimum(
             lam_lo = lam
         else:
             lam_hi = lam
-        if lam_hi - lam_lo < tol * max(1.0, lam_hi):
+        if lam_hi - lam_lo < tol * lam_hi:
             break
     u_star = control_at(lam_hi)
     # land exactly on the face when the budget binds
@@ -212,6 +214,58 @@ def reference_exact_optimum(
     if s > 0:
         u_star = u_star * (budget / s) if abs(s - budget) < 1e-6 else u_star
     return u_star, payoff(u_star)
+
+
+def reference_saturating_optimum(
+    graph: InteractionGraph, partition: AgentPartition, budget: float
+) -> tuple[np.ndarray, float]:
+    """The KKT point of the payoff over the budget simplex when every
+    control's curve is a ``SaturatingCurve``, in 800-digit decimal
+    arithmetic and rounded once to floats, the oracle for
+    ``curves.saturating_optimum``.
+
+    Unlike the closed form's prefix scan, the active set comes from
+    elimination (Michelot's projection algorithm): start from every control
+    with a positive gain, fix lam from the budget, drop each control whose
+    marginal at zero g / s is at most lam, and repeat until none drops.
+    """
+    idx = list(partition.controlled)
+    payoff = payoff_fn(graph, partition)
+    coef = payoff_coefficients(graph, partition)
+    u = np.zeros(len(idx))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 800
+        gains = [Decimal(float(g)) for g in coef[idx] * partition.alpha[idx]]
+        scales = [Decimal(partition.w[i].scale) for i in idx]
+        roots = [(g * s).sqrt() if g > 0 else Decimal(0) for g, s in zip(gains, scales)]
+        M = Decimal(budget)
+        active = [pos for pos, g in enumerate(gains) if g > 0]
+        while active:
+            # sqrt(lam) = T / (M + S) over the active set
+            root_lam = sum(roots[pos] for pos in active) / (M + sum(scales[pos] for pos in active))
+            kept = [pos for pos in active if gains[pos] / scales[pos] > root_lam * root_lam]
+            if kept == active:
+                break
+            active = kept
+        for pos in active:
+            u[pos] = float(roots[pos] / root_lam - scales[pos])
+    return u, payoff(u)
+
+
+def assert_near_saturating_optimum(graph, partition, budget: float, u_star: np.ndarray, payoff_star: float) -> None:
+    """u* and payoff* from ``exact_optimum`` on an instance whose curves are
+    all ``SaturatingCurve``: each entry within 1e-15 * (budget + sum of the
+    scales) of ``reference_saturating_optimum``, the budget spent to 1e-15
+    of it, and payoff* no more than 1e-15 below the bisection oracle's.
+    Below the normal range the sum may also miss by the subnormal spacing,
+    2^-1074, per entry."""
+    u_ref, _ = reference_saturating_optimum(graph, partition, budget)
+    reach = 1e-15 * (budget + math.fsum(partition.w[i].scale for i in partition.controlled))
+    assert np.all(np.abs(u_star - u_ref) <= reach), (u_star, u_ref)
+    if u_ref.any():
+        assert abs(math.fsum(u_star) - budget) <= 1e-15 * budget + len(u_star) * 2.0**-1074
+    _, payoff_bisected = reference_exact_optimum(graph, partition, budget)
+    assert payoff_star >= payoff_bisected * (1.0 - 1e-15)
 
 
 def reference_payoff(graph: InteractionGraph, partition: AgentPartition, u: np.ndarray):

@@ -255,6 +255,37 @@ class TestSaturatingDerivs:
             assert curve.derivs(xs).tobytes() == scalar_derivs(curve, xs).tobytes()
 
 
+class TestSaturatingValues:
+    """``values`` raises, warns and rounds as ``value`` does at every entry."""
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_zero_denominator_raises_without_a_warning(self, rows):
+        curve = SaturatingCurve(0.1)
+        with pytest.raises(ZeroDivisionError):
+            curve.value(-0.1)
+        xs = np.array([-0.1, 1.0])
+        if rows is not None:
+            xs = np.tile(xs, (rows, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroDivisionError):
+                curve.values(xs)
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_infinite_entries_are_a_quiet_nan(self, rows):
+        curve = SaturatingCurve(0.1)
+        xs = np.array([math.inf, 1.0, -math.inf, 0.0])
+        if rows is not None:
+            xs = np.tile(xs, (rows, 1))
+        want = np.reshape([curve.value(x) for x in xs.ravel().tolist()], xs.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = curve.values(xs)
+        assert got.shape == xs.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[..., 0]).all() and np.isnan(got[..., 2]).all()
+
+
 @st.composite
 def tick_cases(draw):
     n = draw(st.integers(1, 10))

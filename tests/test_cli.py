@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opinionshape import harness
 from opinionshape.cli import main
+from opinionshape.optim import exact_optimum
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -300,9 +302,14 @@ def test_parallel_arcs_past_the_float_range_are_exit_2_without_a_warning(tmp_pat
     assert "node 0" in capsys.readouterr().err
 
 
-def test_zero_optimum_gives_nan_gaps_without_a_warning(tmp_path):
-    # with alpha = 1 the marginal is flat to rounding over [0, 1e-20], so
-    # the water-filling returns the zero control and payoff* is 0
+def test_zero_optimum_gives_nan_gaps_without_a_warning(tmp_path, monkeypatch):
+    # no feasible config has payoff* = 0 (stubborn nodes add to it, and
+    # without them some alpha > 0 spends the budget), so it is pinned there
+    def zero_optimum(graph, partition, budget):
+        u_star, _ = exact_optimum(graph, partition, budget)
+        return u_star, 0.0
+
+    monkeypatch.setattr(harness, "exact_optimum", zero_optimum)
     out = tmp_path / "out"
     cfg = write_config(
         tmp_path, network=write_ring(tmp_path), s_size=4, s1_size=0, s0_size=0, alpha=1.0, budget=1e-20,

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from opinionshape import network
 from opinionshape.curves import SaturatingCurve
 from opinionshape.errors import DanglingNodeError, EdgeListParseError, InfeasibleError, NonFiniteRowError
+from opinionshape.general import model_from_partition
 from opinionshape.network import (
     ActivationModel,
     AgentPartition,
@@ -348,6 +349,33 @@ class TestActivationModel:
 
     def test_probabilities_in_the_unit_interval_accepted(self):
         assert ActivationModel("asynchronous", q=np.array([1.0, 0.5])).mode == "asynchronous"
+
+
+class TestIdentityEquality:
+    """The array-holding frozen dataclasses compare and hash by identity:
+    value equality would compare arrays, which raises."""
+
+    @staticmethod
+    def pairs():
+        graphs = [load_edge_list(bundled_network_path("karate")) for _ in range(2)]
+        partitions = [random_partition(graphs[0], (3, 28, 3), 0.6, seed=0) for _ in range(2)]
+        return {
+            "graph": graphs,
+            "poll table": [g.poll_cdf() for g in graphs],
+            "partition": partitions,
+            "activation": [ActivationModel("asynchronous", q=np.full(34, 0.5)) for _ in range(2)],
+            "general model": [model_from_partition(partitions[0]) for _ in range(2)],
+        }
+
+    def test_equal_builds_compare_unequal_without_raising(self):
+        for name, (first, second) in self.pairs().items():
+            assert first == first, name
+            assert first != second, name
+
+    def test_each_can_be_a_dict_key(self):
+        for name, (first, second) in self.pairs().items():
+            keyed = {first: 1, second: 2}
+            assert keyed[first] == 1 and keyed[second] == 2, name
 
 
 class TestSubstochastic:

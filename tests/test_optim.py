@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from opinionshape import curves, optim
-from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve
+from opinionshape import optim
+from opinionshape.curves import ConstantCurve, LinearCurve, SaturatingCurve, saturating_optimum
 from opinionshape.dynamics import total_payoff
 from opinionshape.errors import DivergenceError
+from opinionshape.network import load_edge_list, random_partition
 from opinionshape.optim import (
     StepSchedule,
     exact_gradient,
@@ -25,10 +26,10 @@ from opinionshape.optim import (
 
 from helpers import (
     DerivCounter,
+    assert_near_saturating_optimum,
     brute_force_projection,
     chain_instance,
     random_instance,
-    reference_bisection,
     reference_exact_optimum,
     reference_project_budget_simplex,
     ring_chords_instance,
@@ -42,7 +43,7 @@ def magnitudes(lo_exp: int, hi_exp: int):
     )
 
 
-# the ranges the bisection brackets must hold on
+# the scales and budgets the closed form must hold on
 SCALES = magnitudes(-60, 5)
 BUDGETS = st.one_of(magnitudes(-323, 307), st.sampled_from([5e-324, 1e-9, 5.0, 200.0, 1e308]))
 
@@ -66,7 +67,8 @@ class PeakedCurve:
 
 @dataclass(frozen=True)
 class UnbracketedSaturatingCurve:
-    """SaturatingCurve's value and derivative without its bisection brackets."""
+    """SaturatingCurve's value and derivative in a class that the closed form
+    does not recognise as saturating, so ``exact_optimum`` bisects it."""
 
     scale: float
 
@@ -77,6 +79,14 @@ class UnbracketedSaturatingCurve:
         return SaturatingCurve(self.scale).deriv(x)
 
 
+class SteeperSaturatingCurve(SaturatingCurve):
+    """A subclass whose derivative is not the one of its values; the
+    closed form must not take it for a ``SaturatingCurve``."""
+
+    def deriv(self, x: float) -> float:
+        return 2.0 * super().deriv(x)
+
+
 def with_curves(partition, curves):
     """``partition`` with the given curves assigned to its controls in turn."""
     w = {node: curves[k % len(curves)] for k, node in enumerate(partition.controlled)}
@@ -84,7 +94,13 @@ def with_curves(partition, curves):
 
 
 def assert_matches_reference(graph, partition, budget):
+    """``exact_optimum`` against its oracle: the decimal KKT point when every
+    curve is a ``SaturatingCurve``, else the plain double bisection's bits."""
     u_star, payoff_star = exact_optimum(graph, partition, budget)
+    curves = [partition.w[i] for i in partition.controlled]
+    if curves and all(type(curve) is SaturatingCurve for curve in curves):
+        assert_near_saturating_optimum(graph, partition, budget, u_star, payoff_star)
+        return u_star
     u_ref, payoff_ref = reference_exact_optimum(graph, partition, budget)
     assert u_star.tobytes() == u_ref.tobytes()
     assert payoff_star == payoff_ref
@@ -479,7 +495,8 @@ class TestExactOptimum:
 
 
 class TestExactOptimumMatchesReference:
-    """Shared-bracket bisection returns the plain double bisection's bits."""
+    """The closed form is the decimal KKT point to rounding; every other
+    curve set gets the plain double bisection's bits."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -500,7 +517,7 @@ class TestExactOptimumMatchesReference:
         # the 1e-60 curve's controls end ~100 halvings below the budget, so
         # their bisection stops at the 100-step cap, not at a fixed point
         # (its marginal of 1e60 at zero also runs the outer search to its cap)
-        partition = with_curves(karate_partition, [SaturatingCurve(1e-60), SaturatingCurve(0.1)])
+        partition = with_curves(karate_partition, [UnbracketedSaturatingCurve(1e-60), SaturatingCurve(0.1)])
         assert_matches_reference(karate_graph, partition, budget)
 
     def test_all_zero_derivatives(self, karate_graph, karate_partition):
@@ -523,14 +540,14 @@ class TestExactOptimumMatchesReference:
     def test_wide_instance_needs_a_quarter_of_the_derivs(self, monkeypatch):
         graph, partition = ring_chords_instance(400, n_controlled=80, n_stubborn=8, seed=1)
         counter = DerivCounter(monkeypatch)
-        u_star, payoff_star = exact_optimum(graph, partition, 5.0)
-        shared_calls = counter.calls
+        exact_optimum(graph, partition, 5.0)
+        closed_form_calls = counter.calls
         counter.calls = 0
-        u_ref, payoff_ref = reference_exact_optimum(graph, partition, 5.0)
-        assert u_star.tobytes() == u_ref.tobytes() and payoff_star == payoff_ref
-        assert 4 * shared_calls <= counter.calls
-        # the brackets decide most probes without a bisection
-        assert shared_calls <= 6_000
+        reference_exact_optimum(graph, partition, 5.0)
+        assert 4 * closed_form_calls <= counter.calls
+        # the closed form reads only each control's marginal at zero
+        assert closed_form_calls == 80
+        assert_matches_reference(graph, partition, 5.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -563,84 +580,57 @@ class TestExactOptimumMatchesReference:
         assert_matches_reference(graph, partition, 1e308)
 
 
-class TestBisectionBrackets:
-    """``SaturatingCurve.bisection_brackets`` holds the bisection's result."""
+class TestSaturatingClosedForm:
+    """``curves.saturating_optimum``, the exact optimum for saturating curves."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        scale=SCALES,
-        budget=BUDGETS,
-        gains=st.lists(magnitudes(-6, 6), min_size=1, max_size=6),
-        spots=st.lists(st.tuples(st.integers(0, 5), st.floats(-0.05, 1.05)), min_size=1, max_size=6),
-    )
-    def test_brackets_hold_the_bisection_result(self, scale, budget, gains, spots):
-        curve = SaturatingCurve(scale)
-        brackets = curve.bisection_brackets(np.array(gains), budget)
-        if brackets is None:
-            assert budget > 1e150
-            return
-        for k, t in spots:
-            # lam across control k's interior (its marginals at budget and
-            # at 0), in log scale, a little past both ends
-            g = gains[k % len(gains)]
-            top, floor = g * curve.deriv(0.0), max(g * curve.deriv(budget), 5e-324)
-            lam = top * 2.0 ** (-t * (math.log2(top) - math.log2(floor)))
-            bounds = brackets(lam)
-            if bounds is None:
-                continue
-            for lo, hi, gain in zip(*bounds, gains):
-                assert lo <= reference_bisection(gain, curve, lam, budget) <= hi
+    @pytest.mark.parametrize("budget", [1e4, 1e6, 1e160])
+    def test_karate_spends_the_budget(self, karate_graph, karate_partition, budget):
+        u_star, payoff_star = exact_optimum(karate_graph, karate_partition, budget)
+        assert abs(math.fsum(u_star) - budget) <= 1e-15 * budget
+        assert_near_saturating_optimum(karate_graph, karate_partition, budget, u_star, payoff_star)
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        scale=SCALES,
-        budget=BUDGETS,
-        gains=st.lists(magnitudes(-6, 6), min_size=1, max_size=7),
-        lams=st.lists(magnitudes(-320, 300), min_size=1, max_size=6),
-    )
-    def test_pointwise_brackets_have_the_array_bits(self, scale, budget, gains, lams):
-        # below curves._POINTWISE_WIDTH gains the brackets run on Python
-        # floats; a width of 0 sends the same gains down the array path
-        pointwise = SaturatingCurve(scale).bisection_brackets(np.array(gains), budget)
-        saved = curves._POINTWISE_WIDTH
-        curves._POINTWISE_WIDTH = 0
-        try:
-            arrays = SaturatingCurve(scale).bisection_brackets(np.array(gains), budget)
-        finally:
-            curves._POINTWISE_WIDTH = saved
-        if pointwise is None:
-            assert arrays is None
-            return
-        for lam in lams:
-            got, want = pointwise(lam), arrays(lam)
-            if want is None:
-                assert got is None
-                continue
-            assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+    @pytest.mark.parametrize("budget", [1e4, 1e6, 1e9])
+    def test_bisection_stops_at_a_relative_width(self, karate_graph, karate_partition, budget):
+        # the same curves in a class the closed form leaves to the bisection,
+        # whose outer stop is relative to lam: lam* is far below 1 here.  A
+        # width of 1e-12 of lam moves each u + s by at most half that
+        partition = with_curves(karate_partition, [UnbracketedSaturatingCurve(0.1)])
+        u_star, payoff_star = exact_optimum(karate_graph, partition, budget)
+        assert abs(math.fsum(u_star) - budget) <= 1e-12 * budget
+        assert payoff_star == pytest.approx(exact_optimum(karate_graph, karate_partition, budget)[1], rel=1e-15)
 
-    def test_brackets_are_narrow_at_the_paper_settings(self):
-        gains = np.array([0.5, 1.0, 3.0])
-        brackets = SaturatingCurve(0.1).bisection_brackets(gains, 5.0)
-        for lam in (0.2, 1.0, 5.0):
-            lo, hi = brackets(lam)
-            want = [reference_bisection(g, SaturatingCurve(0.1), lam, 5.0) for g in gains]
-            assert np.all(lo <= want) and np.all(want <= hi)
-            assert np.all(hi - lo <= 1e-9)
+    def test_a_lone_active_control_gets_exactly_the_budget(self):
+        # the second control's marginal at zero, 1, is below the first's at
+        # the whole budget, 100 * 0.1 / 0.11^2
+        u = saturating_optimum(np.array([100.0, 0.1]), np.array([0.1, 0.1]), 0.01)
+        assert u.tolist() == [0.01, 0.0]
 
-    @pytest.mark.parametrize("scale, budget", [(0.1, 1e308), (0.1, 2e154), (1e-200, 5.0), (0.0, 5.0), (-1.0, 5.0)])
-    def test_no_brackets_where_the_derivative_leaves_the_float_range(self, scale, budget):
-        assert SaturatingCurve(scale).bisection_brackets(np.array([1.0]), budget) is None
+    def test_gains_of_zero_and_below_are_never_active(self):
+        u = saturating_optimum(np.array([0.0, 2.0, -1e-17, 1.0]), np.array([0.1, 0.1, 0.1, 0.1]), 5.0)
+        assert u[0] == 0.0 and u[2] == 0.0
+        assert u[1] > u[3] > 0.0
+        assert u.sum() == pytest.approx(5.0, rel=1e-15)
 
-    def test_no_brackets_at_an_unsafe_level(self):
-        brackets = SaturatingCurve(0.1).bisection_brackets(np.array([1.0]), 5.0)
-        assert brackets(0.0) is None and brackets(5e-324) is None and brackets(1e305) is None
+    @pytest.mark.parametrize("scale", [0.0, -0.1, math.inf, math.nan])
+    def test_no_closed_form_without_positive_finite_scales(self, scale):
+        assert saturating_optimum(np.array([1.0, 1.0]), np.array([0.1, scale]), 5.0) is None
 
-    def test_no_brackets_for_curves_without_them(self, karate_graph, karate_partition, monkeypatch):
-        # a Linear curve among the controls sends every probe to the bisection
-        partition = with_curves(karate_partition, [SaturatingCurve(0.1), LinearCurve(0.5)])
-        counter = DerivCounter(monkeypatch)
-        exact_optimum(karate_graph, partition, 5.0)
-        mixed_calls = counter.calls
-        counter.calls = 0
-        reference_exact_optimum(karate_graph, partition, 5.0)
-        assert 0 < mixed_calls < counter.calls
+    def test_no_closed_form_past_the_float_range(self):
+        # sqrt(g) * sqrt(s) sums past the float range
+        assert saturating_optimum(np.array([1e308, 1e308]), np.array([1e308, 1e308]), 1e308) is None
+
+    def test_a_subclass_takes_the_bisection(self, karate_graph, karate_partition):
+        partition = with_curves(karate_partition, [SteeperSaturatingCurve(0.1)])
+        assert_matches_reference(karate_graph, partition, 5.0)
+
+    def test_flat_marginals_at_a_tiny_budget_still_spend_it(self, tmp_path):
+        # alpha = 1 with every node controlled: the marginals are equal and
+        # flat to rounding over [0, 1e-20], where the bisection returns 0
+        edges = tmp_path / "ring.edges"
+        edges.write_text("0 1\n1 2\n2 3\n3 0\n")
+        graph = load_edge_list(edges)
+        partition = random_partition(graph, (4, 0, 0), 1.0, seed=0)
+        u_star, payoff_star = exact_optimum(graph, partition, 1e-20)
+        assert payoff_star > 0.0
+        assert math.fsum(u_star) == pytest.approx(1e-20, rel=1e-15)
+        assert not reference_exact_optimum(graph, partition, 1e-20)[0].any()
