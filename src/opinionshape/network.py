@@ -2,6 +2,10 @@
 
 The interaction graph carries a row-stochastic poll matrix P built from an
 edge list and stored as compressed sparse rows, in O(edges + n) memory.
+The edge list is parsed in one pass of numpy's C reader; a Python line
+loop reads only what it refuses, and names the line of a malformed one.
+Row sums of integer weights come from one bincount, exact in any order;
+other weights are summed over dense row blocks, for numpy's pairwise bits.
 The dense P is built only when read (the general model and the test
 oracles); the base schemes never read it.  Their one n x n array is the
 stationary system Id - A, scattered from the sparse rows, and their one
@@ -19,6 +23,8 @@ its result is cached on the graph.
 
 from __future__ import annotations
 
+import io
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
@@ -451,6 +457,89 @@ def _dense_row_sums(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
     return sums
 
 
+def _row_sums(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    # integers add exactly in any order while every partial sum stays below
+    # 2^53, so then the sequential bincount has the dense pairwise bits.
+    # The values are nonnegative: a true total at or past 2^53 also
+    # computes to at least 2^53, and such rows take the dense blocks
+    sums = np.bincount(rows, weights=vals, minlength=n)
+    if (sums < 2.0**53).all() and (np.floor(vals) == vals).all():
+        return sums
+    return _dense_row_sums(n, rows, cols, vals)
+
+
+# the columns of an edge list as numpy's C reader parses them
+_COLUMNS = [("src", np.int64), ("dst", np.int64), ("weight", np.float64)]
+
+
+def _read_columns(source: str, weighted: bool | None) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The arcs' source labels, target labels and weights, parsed in one C
+    pass by ``np.loadtxt``; None when it refuses the text (or warns), or a
+    weight is negative or not finite.
+
+    The C reader splits on the whitespace ``str.split`` splits on and reads
+    labels as ASCII ``[+-]digits`` in int64 and weights with Python's
+    float parser, so what it accepts it reads as ``_parse_lines`` would.
+    """
+    if weighted is None:
+        for line in io.StringIO(source):
+            parts = line.split("#", 1)[0].split()
+            if parts:
+                weighted = len(parts) == 3
+                break
+        else:
+            return None
+    with warnings.catch_warnings():
+        # "input contained no data", or an older numpy reading "1.0" as an
+        # integer with a DeprecationWarning: both go to the line loop
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(io.StringIO(source), dtype=_COLUMNS[:3 if weighted else 2], comments="#", ndmin=1)
+        except (ValueError, Warning):
+            return None
+    weights = table["weight"] if weighted else np.ones(len(table))
+    # written so that NaN goes to the line loop too
+    if not ((weights >= 0.0) & (weights < np.inf)).all():
+        return None
+    return table["src"], table["dst"], weights
+
+
+def _parse_lines(source: str, weighted: bool | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_read_columns`` one line at a time with Python's ``int`` and
+    ``float``: for the labels the C reader refuses (past int64, ``1_000``,
+    non-ASCII digits) and for the errors, which name their line.  The
+    labels come back as Python ints in object arrays."""
+    raw: list[tuple[int, int, float]] = []
+    for line_no, line in enumerate(io.StringIO(source), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        parts = text.split()
+        if weighted is None:
+            weighted = len(parts) == 3
+        expected = 3 if weighted else 2
+        if len(parts) != expected:
+            raise EdgeListParseError(line_no, f"expected {expected} columns, got {len(parts)}")
+        try:
+            src, dst = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(line_no, f"node ids must be integers: {text!r}") from None
+        if weighted:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise EdgeListParseError(line_no, f"bad weight: {parts[2]!r}") from None
+            if w < 0.0 or not np.isfinite(w):
+                raise EdgeListParseError(line_no, f"weight must be finite and nonnegative: {w}")
+        else:
+            w = 1.0
+        raw.append((src, dst, w))
+    if not raw:
+        raise EdgeListParseError(0, "edge list is empty")
+    src, dst, weights = zip(*raw)
+    return np.array(src, dtype=object), np.array(dst, dtype=object), np.array(weights)
+
+
 def load_edge_list(
     path: str | Path,
     weighted: bool | None = None,
@@ -465,44 +554,21 @@ def load_edge_list(
     decides.  Undirected sources (the default) contribute both arc
     directions to the poll matrix.
 
+    numpy's C reader parses the columns in one pass.  A text it refuses,
+    or with a negative or non-finite weight, is parsed again line by line
+    with Python's ``int`` and ``float``: that loop reads labels past int64
+    and spellings such as ``1_000``, and its errors name the line.
+
     P's sparse rows are built in O(edges + n) memory, with the bits of
     ``row_normalize`` on the dense adjacency.
     """
-    path = Path(path)
-    raw: list[tuple[int, int, float]] = []
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if weighted is None:
-                weighted = len(parts) == 3
-            expected = 3 if weighted else 2
-            if len(parts) != expected:
-                raise EdgeListParseError(line_no, f"expected {expected} columns, got {len(parts)}")
-            try:
-                src, dst = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(line_no, f"node ids must be integers: {text!r}") from None
-            if weighted:
-                try:
-                    w = float(parts[2])
-                except ValueError:
-                    raise EdgeListParseError(line_no, f"bad weight: {parts[2]!r}") from None
-                if w < 0.0 or not np.isfinite(w):
-                    raise EdgeListParseError(line_no, f"weight must be finite and nonnegative: {w}")
-            else:
-                w = 1.0
-            raw.append((src, dst, w))
-    if not raw:
-        raise EdgeListParseError(0, "edge list is empty")
-
-    labels = sorted({n for s, d, _ in raw for n in (s, d)})
-    index = {label: i for i, label in enumerate(labels)}
+    source = Path(path).read_text(encoding="utf-8")
+    columns = _read_columns(source, weighted)
+    src, dst, weights = columns if columns is not None else _parse_lines(source, weighted)
+    labels, index = np.unique(np.concatenate((src, dst)), return_inverse=True)
     n = len(labels)
-    edges = tuple((index[s], index[d], w) for s, d, w in raw)
-    src, dst, weights = (np.array(column) for column in zip(*edges))
+    src, dst = index[:len(weights)], index[len(weights):]
+    edges = tuple(zip(src.tolist(), dst.tolist(), weights.tolist()))
     cells = src * n + dst
     if not directed:
         # each arc, then its reverse unless it is a loop
@@ -521,7 +587,7 @@ def load_edge_list(
     # a sum past the float range is inf, which _check_row_sums reports
     with np.errstate(over="ignore"):
         np.add.at(acc, cell_of, weights)
-        sums = _dense_row_sums(n, rows, cols, acc)
+        sums = _row_sums(n, rows, cols, acc)
     _check_row_sums(sums)
     vals = acc / sums[rows]
     # zero-weight arcs and quotients that underflow to 0 leave no entry
@@ -529,14 +595,13 @@ def load_edge_list(
     rows, cols, vals = rows[kept], cols[kept], vals[kept]
     ptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
-    names = {i: label for label, i in index.items()}
     return InteractionGraph(
         node_count=n,
         edges=edges,
         ptr=ptr,
         cols=cols,
         vals=vals,
-        names=names,
+        names=dict(enumerate(labels.tolist())),
         undirected=not directed,
     )
 

@@ -292,11 +292,14 @@ def exact_optimum(
     control's curve is a ``SaturatingCurve`` (any scales; a subclass may
     change ``deriv``), ``curves.saturating_optimum`` gives the point in
     closed form.  Every other curve set takes a double bisection: the outer
-    one on lam, to a relative width of 1e-12 within 200 halvings, and the
-    inner one on each u_i, the largest u_i in [0, budget] with
-    g_i * w_i'(u_i) >= lam, up to 100 steps.  With strictly increasing
-    reward curves the budget binds, and a bisection result within 1e-6 of
-    it is scaled onto the face.
+    one on lam, to a relative width of 1e-12 or until its midpoint rounds
+    onto an end, and the inner one on each u_i, the largest u_i in
+    [0, budget] with g_i * w_i'(u_i) >= lam, up to 100 steps.  With
+    strictly increasing reward curves the budget binds, and a bisection
+    result within 1e-6 of it is scaled onto the face.  Where the budget is
+    so large that w_i' reads 0 (for saturating curves from about 1.3e154,
+    where (u + s)^2 leaves the float range), the bisection cannot reach
+    the face and spends only a part of the budget.
     """
     idx = list(partition.controlled)
     payoff = payoff_fn(graph, partition)
@@ -353,15 +356,16 @@ def exact_optimum(
         if u_star.sum() <= budget:
             return u_star, payoff(u_star)
     lam_lo = 0.0
-    for _ in range(200):
+    # no cap on the halvings: lam* can lie a thousand of them below lam_hi
+    while lam_hi - lam_lo >= 1e-12 * lam_hi:
         lam = 0.5 * (lam_lo + lam_hi)
+        if lam == lam_lo or lam == lam_hi:
+            break
         with np.errstate(over="ignore"):
             if control_at(lam).sum() > budget:
                 lam_lo = lam
             else:
                 lam_hi = lam
-        if lam_hi - lam_lo < 1e-12 * lam_hi:
-            break
     u_star = control_at(lam_hi)
     # land exactly on the face when the budget binds
     with np.errstate(over="ignore"):

@@ -6,7 +6,7 @@ import csv
 import decimal
 import math
 from decimal import Decimal
-from itertools import combinations
+from itertools import combinations, count
 from pathlib import Path
 
 import numpy as np
@@ -173,10 +173,13 @@ def reference_exact_optimum(
     partition: AgentPartition,
     budget: float,
     tol: float = 1e-12,
+    halvings: int | None = None,
 ) -> tuple[np.ndarray, float]:
     """Water-filling optimum by plain double bisection, the oracle for
     ``optim.exact_optimum``: every probe of lam re-bisects every control
-    from [0, budget]."""
+    from [0, budget].  The outer bisection stops at a relative width of
+    ``tol`` or once its midpoint rounds onto an end; ``halvings`` caps it
+    too, as ``exact_optimum`` once capped it at 200."""
     idx = list(partition.controlled)
     payoff = payoff_fn(graph, partition)
     if not idx:
@@ -197,16 +200,18 @@ def reference_exact_optimum(
         if u_star.sum() <= budget:
             return u_star, payoff(u_star)
     lam_lo = 0.0
-    for _ in range(200):
+    for _ in count() if halvings is None else range(halvings):
+        if lam_hi - lam_lo < tol * lam_hi:
+            break
         lam = 0.5 * (lam_lo + lam_hi)
+        if lam == lam_lo or lam == lam_hi:
+            break
         with np.errstate(over="ignore"):
             total = control_at(lam).sum()
         if total > budget:
             lam_lo = lam
         else:
             lam_hi = lam
-        if lam_hi - lam_lo < tol * lam_hi:
-            break
     u_star = control_at(lam_hi)
     # land exactly on the face when the budget binds
     with np.errstate(over="ignore"):

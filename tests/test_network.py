@@ -3,6 +3,7 @@ from __future__ import annotations
 import pickle
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,119 @@ class TestLoadEdgeList:
         assert g1.edges == g2.edges
 
 
+def load_like_the_oracle(path, **kwargs):
+    """``load_edge_list`` on ``path`` against ``reference_load_edge_list``:
+    P's bytes, the arcs and the labels, or the parse error's message and
+    line.  No warning may escape the load.  Returns the graph, or None
+    after an error."""
+    try:
+        want = reference_load_edge_list(path, **kwargs)
+    except EdgeListParseError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EdgeListParseError) as err:
+                load_edge_list(path, **kwargs)
+        assert str(err.value) == str(exc)
+        assert err.value.line_no == exc.line_no
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = load_edge_list(path, **kwargs)
+    assert got.P.tobytes() == want.P.tobytes()
+    # repr tells -0.0 from 0.0 and numpy integers from Python ones
+    assert got.edges == want.edges and repr(got.edges) == repr(want.edges)
+    assert got.names == want.names and repr(got.names) == repr(want.names)
+    return got
+
+
+@pytest.fixture
+def taken(monkeypatch):
+    """Calls of the line loop and of the dense row sums, by name."""
+    counts = {"_parse_lines": 0, "_dense_row_sums": 0}
+    for name in counts:
+        def counted(*args, _real=getattr(network, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(network, name, counted)
+    return counts
+
+
+class TestCReader:
+    """The C reader reads what it accepts as the oracle does, and hands the
+    rest to the line loop, which reads it or raises the oracle's error."""
+
+    @pytest.mark.parametrize(
+        "label, fast",
+        [
+            ("1.0", False), ("5.", False), ("1e3", False), ("0x10", False), ("1_000", False),
+            ("+5", True), ("-0", True), ("05", True), ("١", False),
+            (str(2**63), False), (str(-(2**63)), True), (str(2**63 - 1), True), (str(-(2**63) - 1), False),
+        ],
+    )
+    def test_labels(self, tmp_path, taken, label, fast):
+        path = write(tmp_path, f"0 1\n{label} 1\n2 {label}\n")
+        load_like_the_oracle(path)
+        assert taken["_parse_lines"] == (0 if fast else 1)
+
+    @pytest.mark.parametrize("sep", ["\xa0", "\x0b", "\x0c", "\x1c", "\x85", " ", "　"])
+    def test_unicode_whitespace_separates(self, tmp_path, taken, sep):
+        path = write(tmp_path, f"0{sep}1\n1{sep}{sep}2{sep}\n{sep}2 0 #{sep}x\n{sep}\n")
+        assert load_like_the_oracle(path).node_count == 3
+        assert taken["_parse_lines"] == 0
+
+    def test_nul_does_not_separate(self, tmp_path, taken):
+        assert load_like_the_oracle(write(tmp_path, "0 1\n1\x002\n")) is None
+        assert taken["_parse_lines"] == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0 1\r\n1 2\r\n2 0\r\n", "0 1\r1 2\r2 0\r", "0 1\r\n1 2\r2 0\n", "0 1\r\n1 x\r\n", "0 1\r\r1 x\r"],
+    )
+    def test_line_ends(self, tmp_path, text):
+        path = tmp_path / "g.edges"
+        path.write_bytes(text.encode())
+        load_like_the_oracle(path)
+
+    @pytest.mark.parametrize(
+        "weight, fast",
+        [("inf", False), ("nan", False), ("-1.0", False), ("-0.0", True), ("1e-400", True),
+         ("1_0", False), (".5", True), ("1.", True)],
+    )
+    def test_weights(self, tmp_path, taken, weight, fast):
+        path = write(tmp_path, f"0 1 1.0\n1 2 {weight}\n2 0 1.0\n")
+        load_like_the_oracle(path)
+        assert taken["_parse_lines"] == (0 if fast else 1)
+
+    @pytest.mark.parametrize("weighted", [None, True, False])
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n   \t# another\n"])
+    def test_no_data_is_the_empty_error(self, tmp_path, text, weighted):
+        assert load_like_the_oracle(write(tmp_path, text), weighted=weighted) is None
+        with pytest.raises(EdgeListParseError, match="^line 0: edge list is empty$"):
+            load_edge_list(write(tmp_path, text), weighted=weighted)
+
+    @pytest.mark.parametrize("second, dense", [(2**52 - 1, 0), (2**52, 1)])
+    def test_integer_row_sums_below_2_53_skip_the_dense_rows(self, tmp_path, taken, second, dense):
+        # node 0's weights sum to 2^53 - 1, or to 2^53, where the dense rows
+        # decide the bits
+        path = write(tmp_path, f"0 1 {2**52}\n0 2 {second}\n1 2 1\n2 0 3\n")
+        load_like_the_oracle(path, directed=True)
+        assert taken == {"_parse_lines": 0, "_dense_row_sums": dense}
+
+    def test_past_2_53_the_dense_rows_give_the_bits(self, tmp_path, taken):
+        # 2^53 + 1 + 1 rounds to 2^53 left to right, but the dense row's
+        # pairwise sum adds the ones first
+        ring = "".join(f"{i} {(i + 1) % 24} 1\n" for i in range(1, 24))
+        got = load_like_the_oracle(write(tmp_path, f"0 1 {2**53}\n0 2 1\n0 3 1\n" + ring), directed=True)
+        assert got.vals[0] == 2**53 / (2**53 + 2)
+        assert taken["_dense_row_sums"] == 1
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_non_integer_weights_take_the_dense_rows(self, tmp_path, taken, weighted):
+        text = "0 1 0.5\n1 2 1\n2 0 1\n" if weighted else "0 1\n1 2\n2 0\n"
+        load_like_the_oracle(write(tmp_path, text))
+        assert taken == {"_parse_lines": 0, "_dense_row_sums": int(weighted)}
+
+
 def _peak_bytes(call):
     """The result of ``call()`` and the peak of the memory it allocated, as
     tracemalloc sees it (numpy reports its buffers; LAPACK's do not count)."""
@@ -274,6 +388,14 @@ class TestMemory:
         _, peak = _peak_bytes(lambda: graph.poll_cdf().row_lists())
         assert peak < 0.5 * dense
         assert graph._dense is None
+
+    def test_unweighted_load_peaks_below_one_dense_row_block(self, tmp_path):
+        # integer weights sum exactly in one bincount: no dense row block
+        # of _dense_row_sums is allocated
+        n = 1000
+        path = write(tmp_path, "".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+        _, peak = _peak_bytes(lambda: load_edge_list(path))
+        assert peak < network._ROW_SUM_CELLS * 8
 
 
 class TestRandomPartition:

@@ -599,6 +599,30 @@ class TestSaturatingClosedForm:
         assert abs(math.fsum(u_star) - budget) <= 1e-12 * budget
         assert payoff_star == pytest.approx(exact_optimum(karate_graph, karate_partition, budget)[1], rel=1e-15)
 
+    @pytest.mark.parametrize("budget", [1e25, 1e28, 1e30, 1e40, 1e100])
+    def test_bisection_has_no_halving_cap(self, karate_graph, karate_partition, budget):
+        # lam* lies more than 200 halvings below the largest marginal at
+        # zero: a cap of 200 missed the budget by 8e-11 of it at 1e25 and by
+        # all of it at 1e40
+        partition = with_curves(karate_partition, [UnbracketedSaturatingCurve(0.1)])
+        u_star = assert_matches_reference(karate_graph, partition, budget)
+        assert abs(math.fsum(u_star) - budget) <= 1e-12 * budget
+
+    @pytest.mark.parametrize("budget", [5.0, 1e4, 1e9, 1e24])
+    def test_bisection_within_200_halvings_keeps_its_bits(self, karate_graph, karate_partition, budget):
+        partition = with_curves(karate_partition, [UnbracketedSaturatingCurve(0.1)])
+        u_star, payoff_star = exact_optimum(karate_graph, partition, budget)
+        u_capped, payoff_capped = reference_exact_optimum(karate_graph, partition, budget, halvings=200)
+        assert u_star.tobytes() == u_capped.tobytes()
+        assert payoff_star == payoff_capped
+
+    def test_bisection_misses_the_budget_once_the_derivative_reads_zero(self, karate_graph, karate_partition):
+        # past about 1.3e154, (u + s)^2 leaves the float range and w' reads
+        # 0, so the controls still spend only a part of the budget
+        partition = with_curves(karate_partition, [UnbracketedSaturatingCurve(0.1)])
+        u_star = assert_matches_reference(karate_graph, partition, 1e160)
+        assert math.fsum(u_star) < 0.5 * 1e160
+
     def test_a_lone_active_control_gets_exactly_the_budget(self):
         # the second control's marginal at zero, 1, is below the first's at
         # the whole budget, 100 * 0.1 / 0.11^2
