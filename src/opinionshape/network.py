@@ -44,10 +44,12 @@ STUBBORN = -2
 class InteractionGraph:
     """A gossip network with its row-stochastic poll matrix P.
 
-    ``edges`` holds the input arcs as read from the source (one entry per
-    file line); for undirected sources each arc also contributes its
-    reverse to P.  ``names`` maps the contiguous 0-based node index back to
-    the original label.
+    ``arcs`` holds the input arcs as read from the source (one entry per
+    file line) as three read-only arrays: source index, target index and
+    weight; for undirected sources each arc also contributes its reverse to
+    P.  ``edges`` gives them as ``(i, j, w)`` tuples of Python numbers,
+    built on first read.  ``names`` maps the contiguous 0-based node index
+    back to the original label.
 
     P is stored in compressed sparse rows, its one stored form: row ``i``'s
     nonzero entries are ``vals[ptr[i]:ptr[i + 1]]`` in the columns
@@ -57,12 +59,13 @@ class InteractionGraph:
     """
 
     node_count: int
-    edges: tuple[tuple[int, int, float], ...]
+    arcs: tuple[np.ndarray, np.ndarray, np.ndarray]
     ptr: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     names: dict[int, int] = field(default_factory=dict)
     undirected: bool = True
+    _edges: tuple[tuple[int, int, float], ...] | None = field(default=None, init=False, repr=False, compare=False)
     _dense: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _poll_table: PollTable | None = field(default=None, init=False, repr=False, compare=False)
     _adjoint: tuple[AgentPartition, np.ndarray] | None = field(
@@ -90,6 +93,18 @@ class InteractionGraph:
         for name, array in (("ptr", ptr), ("cols", cols), ("vals", vals)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+        for array in self.arcs:
+            array.setflags(write=False)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The input arcs as ``(i, j, w)`` tuples, built from ``arcs`` on
+        first read and cached."""
+        edges = self._edges
+        if edges is None:
+            edges = tuple(zip(*(array.tolist() for array in self.arcs)))
+            object.__setattr__(self, "_edges", edges)
+        return edges
 
     def entry_rows(self) -> np.ndarray:
         """The row of each stored entry, in storage order."""
@@ -140,7 +155,7 @@ class InteractionGraph:
         # unpickled arrays come back writeable; the stored and cached ones
         # must not
         self.__dict__.update(state)
-        for array in (self.ptr, self.cols, self.vals, self._dense):
+        for array in (*self.arcs, self.ptr, self.cols, self.vals, self._dense):
             if array is not None:
                 array.setflags(write=False)
         if self._adjoint is not None:
@@ -568,7 +583,7 @@ def load_edge_list(
     labels, index = np.unique(np.concatenate((src, dst)), return_inverse=True)
     n = len(labels)
     src, dst = index[:len(weights)], index[len(weights):]
-    edges = tuple(zip(src.tolist(), dst.tolist(), weights.tolist()))
+    arcs = (src, dst, weights)
     cells = src * n + dst
     if not directed:
         # each arc, then its reverse unless it is a loop
@@ -597,7 +612,7 @@ def load_edge_list(
     np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
     return InteractionGraph(
         node_count=n,
-        edges=edges,
+        arcs=arcs,
         ptr=ptr,
         cols=cols,
         vals=vals,

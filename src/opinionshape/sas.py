@@ -79,7 +79,7 @@ def sas_slow_update(
 
 def _tick_fast_updates(
     grad_table: np.ndarray,
-    pollers: np.ndarray,
+    pollers: np.ndarray | slice,
     polled: np.ndarray,
     damp: np.ndarray,
     own_cells: np.ndarray,
@@ -91,22 +91,27 @@ def _tick_fast_updates(
 
     The one fast-scale relaxation of every learner: row i moves to
     G_i + a_i * (damp_i G_next + driver - G_i), computed in place on one
-    gathered block, which is written back and returned.  G_next is row
-    ``polled`` of the table, or of ``source`` when given (the known-matrix
-    sweep passes its expectation P @ G there).  The table is a pollers x
-    controls sensitivity table or a 1-D vector of values or scalars.
+    block gathered from the polled rows, which is written back and
+    returned.  G_next is row ``polled`` of the table, or of ``source`` when
+    given (the known-matrix sweep passes its expectation P @ G there).  The
+    table is a pollers x controls sensitivity table or a 1-D vector of
+    values or scalars.
 
-    damp is the fixed point's damp per poller (1 - alpha_i in ``sas``), a
-    column for a 2-D table.  own_cells are the flat indices, in the gathered
+    pollers is an index array, or ``slice(None)`` for every row (``polled``
+    then holds one target per row): the rows are then read as a view of
+    the table and the write-back is one contiguous copy.  damp is the fixed
+    point's damp per poller (1 - alpha_i in ``sas``), a column for a 2-D
+    table or the full block.  own_cells are the flat indices, in the
     block, of the cells that get a driver (see ``owned_cells``;
     ``slice(None)`` for all of a vector), and driver holds their terms,
     alpha_i * w_i'(u_i) in ``sas``.  steps is a(nu_i) as a column per
     poller, or one scalar when every clock agrees.  Synchronous runners
     build damp and the owned cells once per run.
     """
-    # take copies rows without the fancy-indexing machinery; its fresh
-    # C-ordered result makes ravel() a view
-    rows = grad_table.take(pollers, axis=0)
+    # take copies rows without the fancy-indexing machinery; a slice reads
+    # them in place
+    rows = grad_table[pollers] if isinstance(pollers, slice) else grad_table.take(pollers, axis=0)
+    # a fresh C-ordered block, so ravel() is a view
     block = (grad_table if source is None else source).take(polled, axis=0)
     block *= damp
     block.ravel()[own_cells] += driver
@@ -156,27 +161,32 @@ def run_sas(
     def finish(k, u, updated):
         if not freeze_u and n_ctrl:
             u = sas_slow_update(u, grad_table, k, schedule, budget)
-        # rows left alone this tick passed on an earlier one
-        if not np.maximum.reduce(np.abs(updated), axis=None, initial=0.0) <= bound:
+        # rows left alone this tick passed on an earlier one; written so
+        # that a NaN fails too
+        if not (updated.max(initial=0.0) <= bound and updated.min(initial=0.0) >= -bound):
             raise DivergenceError(f"sensitivity table left its sanity bound {bound:.3g} at tick {k + 1}")
         return u
 
     clocks = np.zeros(n, dtype=np.int64)
     if activation.mode == "synchronous":
         # every non-stubborn agent polls on every tick, so every local clock
-        # reads k and the poll events do not depend on the learner
+        # reads k and the poll events do not depend on the learner.  One
+        # call relaxes the whole table in place: a stubborn row polls
+        # itself with damp 0 and no driver, so it stays +0.0
         pollers = np.flatnonzero(free)
-        damp = (1.0 - alpha[pollers])[:, None]
-        own_rows, own_cols, own_cells = owned_cells(codes, pollers, n_ctrl)
-        own_alpha = alpha[pollers[own_rows]]
+        damp = np.repeat(np.where(free, 1.0 - alpha, 0.0)[:, None], n_ctrl, axis=1)
+        own_rows, own_cols, own_cells = owned_cells(codes, np.arange(n), n_ctrl)
+        own_alpha = alpha[own_rows]
         frozen = driver_at(own_alpha, own_cols, u) if freeze_u else None
         steps = schedule.a(np.arange(n_iters))
         draws = poll_blocks(lambda rows: sample_poll_targets(cdf, rows, rng), pollers, n_iters)
+        polled = np.arange(n)
 
         def tick(k, u):
             driver = driver_at(own_alpha, own_cols, u) if frozen is None else frozen
+            polled[pollers] = next(draws)
             updated = _tick_fast_updates(
-                grad_table, pollers, next(draws), damp, own_cells, driver, steps[k]
+                grad_table, slice(None), polled, damp, own_cells, driver, steps[k]
             )
             return finish(k, u, updated)
 

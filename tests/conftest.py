@@ -20,6 +20,16 @@ def karate_graph():
     return load_edge_list(bundled_network_path("karate"))
 
 
+@pytest.fixture(autouse=True)
+def restore_karate_adjoint(karate_graph):
+    """Put back, after each test, what the shared graph's one-slot adjoint
+    cache held before it: a partition a test leaves there would reach every
+    later test, and every pickle of the graph."""
+    held = karate_graph._adjoint
+    yield
+    object.__setattr__(karate_graph, "_adjoint", held)
+
+
 @pytest.fixture(scope="session")
 def karate_partition(karate_graph):
     """The benchmark split: 3 controlled, 28 uncontrolled, 3 stubborn, alpha 0.6."""

@@ -16,8 +16,9 @@ from opinionshape.dynamics import OpinionState, PollEvent, payoff_coefficients, 
 from opinionshape.errors import DivergenceError, EdgeListParseError, NonAbsorbingError
 from opinionshape.general import GeneralModel, _driver, _fixed_point
 from opinionshape.network import STUBBORN, AgentPartition, InteractionGraph, PollTable, random_partition, row_normalize
-from opinionshape.optim import LocalClocks, StepSchedule, Trajectory
+from opinionshape.optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex
 from opinionshape.partial_obs import HOP_CAP, Token
+from opinionshape.sas import _table_bound
 from opinionshape.sgd import WALK_STEP_CAP
 
 
@@ -32,14 +33,19 @@ def graph_from_P(P: np.ndarray, undirected: bool = False) -> InteractionGraph:
 
 def dense_graph(P: np.ndarray, edges, names, undirected: bool) -> InteractionGraph:
     """The graph whose poll matrix is the dense square ``P``: its nonzero
-    entries, in row-major order, become the sparse rows."""
+    entries, in row-major order, become the sparse rows.  ``edges`` are
+    ``(i, j, w)`` tuples: they become the arcs, and the graph's ``edges``
+    reads them as given, not rebuilt from the arrays."""
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
     rows, cols = np.nonzero(P)
     ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    return InteractionGraph(
-        node_count=n, edges=edges, ptr=ptr, cols=cols, vals=P[rows, cols], names=names, undirected=undirected
+    arcs = tuple(np.array([e[k] for e in edges], dtype=t) for k, t in enumerate((np.intp, np.intp, float)))
+    graph = InteractionGraph(
+        node_count=n, arcs=arcs, ptr=ptr, cols=cols, vals=P[rows, cols], names=names, undirected=undirected
     )
+    object.__setattr__(graph, "_edges", tuple(edges))
+    return graph
 
 
 def reference_poll_table(P: np.ndarray) -> PollTable:
@@ -565,6 +571,51 @@ def reference_tick_fast_updates(
     owns = ctrl_pos >= 0
     target[owns, ctrl_pos[owns]] += diag_driver[owns]
     grad_table[pollers] += steps[:, None] * (target - grad_table[pollers])
+
+
+def reference_run_sas_synchronous(
+    graph: InteractionGraph,
+    partition: AgentPartition,
+    budget: float,
+    schedule: StepSchedule,
+    n_iters: int,
+    seed,
+    u0: np.ndarray | None = None,
+    freeze_u: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A synchronous ``sas.run_sas`` on ``reference_tick_fast_updates``, the
+    oracle for its whole-table tick: each tick gathers the pollers' rows
+    (every non-stubborn agent), draws their polls with one
+    ``sample_poll_targets`` call, relaxes them, takes the slow step and
+    checks the largest absolute entry of the relaxed rows against the
+    bound.  Returns the controls per tick, their payoffs, the table and
+    the local clocks."""
+    rng = np.random.default_rng(seed)
+    n, n_ctrl = graph.node_count, len(partition.controlled)
+    u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
+    table = np.zeros((n, n_ctrl))
+    pollers = np.flatnonzero(partition.node_codes() != STUBBORN)
+    ctrl_pos = partition.node_codes()[pollers]
+    owns = ctrl_pos >= 0
+    steps = schedule.a(np.arange(n_iters))
+    bound = _table_bound(partition)
+    us = [u.copy()]
+    for k in range(n_iters):
+        polled = sample_poll_targets(graph.poll_cdf(), pollers, rng)
+        diag = np.zeros(len(pollers))
+        diag[owns] = partition.alpha[pollers[owns]] * partition.w_derivs(u)[ctrl_pos[owns]]
+        reference_tick_fast_updates(
+            table, pollers, polled, partition.alpha, diag, ctrl_pos, np.full(len(pollers), steps[k])
+        )
+        if not freeze_u and n_ctrl:
+            u = project_budget_simplex(u + schedule.b(k) * table.sum(axis=0), budget)
+        if not np.max(np.abs(table[pollers]), initial=0.0) <= bound:
+            raise DivergenceError(f"sensitivity table left its sanity bound {bound:.3g} at tick {k + 1}")
+        us.append(u.copy())
+    us = np.array(us)
+    clocks = np.zeros(n, dtype=np.int64)
+    clocks[pollers] = n_iters
+    return us, payoff_fn(graph, partition)(us), table, clocks
 
 
 def reference_value_update(

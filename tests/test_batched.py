@@ -41,6 +41,7 @@ from helpers import (
     reference_known_p_updates,
     reference_relax_scalars,
     reference_restricted_grad_oracle,
+    reference_run_sas_synchronous,
     reference_tables,
     reference_tick_fast_updates,
     reference_value_update,
@@ -364,6 +365,149 @@ class TestTickKernel:
             )
             assert got.tobytes() == want.tobytes()
             assert clocks.value(poller) == 2
+
+
+@st.composite
+def whole_table_cases(draw):
+    """A table, one poll target per row, damp, owned cells with drivers and
+    one step: a synchronous ``run_sas`` tick's kernel arguments."""
+    n = draw(st.integers(1, 8))
+    n_ctrl = draw(st.integers(0, 4))
+    entries = st.floats(-1e6, 1e6, allow_nan=False)
+    shape = (n, n_ctrl) if draw(st.booleans()) else (n,)
+    table = np.array(draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+    polled = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)), dtype=np.intp)
+    damp = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    width = shape[1] if len(shape) == 2 else 1
+    cells = np.array(sorted(draw(st.sets(st.integers(0, n * width - 1)))) if width else [], dtype=np.intp)
+    driver = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=len(cells), max_size=len(cells))))
+    return table, polled, damp, cells, driver, draw(st.floats(0.0, 1.0))
+
+
+@st.composite
+def synchronous_sas_cases(draw):
+    """A small instance for a synchronous ``run_sas``: controls with alpha 1
+    among others, or no controls, or every agent stubborn."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["mixed"] * 3 + ["no controls", "all stubborn"]))
+    n_ctrl = draw(st.integers(1, n)) if kind == "mixed" else 0
+    n_stub = n if kind == "all stubborn" else draw(st.integers(0 if n_ctrl else 1, n - n_ctrl))
+    controlled = tuple(range(n_ctrl))
+    stubborn = tuple(range(n - n_stub, n))
+    alphas = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
+    partition = AgentPartition(
+        controlled=controlled,
+        uncontrolled=tuple(range(n_ctrl, n - n_stub)),
+        stubborn=stubborn,
+        alpha=np.array(draw(st.lists(alphas, min_size=n_ctrl, max_size=n_ctrl)) + [0.0] * (n - n_ctrl)),
+        h={i: 0.5 for i in stubborn},
+        w={i: draw(CURVES) for i in controlled},
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    graph = graph_from_P(np.random.default_rng(seed).dirichlet(np.ones(n), size=n))
+    freeze_u = draw(st.booleans())
+    u0 = draw(st.none() | st.lists(st.floats(0.0, 5.0), min_size=n_ctrl, max_size=n_ctrl))
+    return dict(
+        graph=graph,
+        partition=partition,
+        budget=draw(st.floats(0.1, 10.0)),
+        schedule=StepSchedule(draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0)), draw(st.integers(1, 50))),
+        n_iters=draw(st.sampled_from([0, 1]) if draw(st.integers(0, 2)) == 0 else st.integers(2, 60)),
+        seed=seed,
+        u0=None if u0 is None else np.array(u0),
+        freeze_u=freeze_u,
+    )
+
+
+def outcome(run, **case):
+    """What a runner gives back, or the message of the DivergenceError it raises."""
+    try:
+        return run(**case)
+    except DivergenceError as exc:
+        return str(exc)
+
+
+class BadSlopeCurve:
+    """w(x) = x whose derivative reads ``bad`` above ``knee``."""
+
+    def __init__(self, bad: float, knee: float):
+        self.bad, self.knee = bad, knee
+
+    def value(self, x: float) -> float:
+        return x
+
+    def deriv(self, x: float) -> float:
+        return self.bad if x > self.knee else 1.0
+
+
+class TestWholeTableTick:
+    """A synchronous ``run_sas`` relaxes the whole table in one kernel call,
+    stubborn rows polling themselves with damp 0; the oracle gathers the
+    pollers' rows as the kernel did before."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=whole_table_cases())
+    def test_slice_is_the_range_of_rows(self, case):
+        table, polled, damp, cells, driver, step = case
+        n = len(table)
+        damps = [damp] if table.ndim == 1 else [damp[:, None], np.repeat(damp[:, None], table.shape[1], axis=1)]
+        want = table.copy()
+        want_block = _tick_fast_updates(want, np.arange(n), polled, damps[0], cells, driver, step)
+        for d in damps:
+            got = table.copy()
+            block = _tick_fast_updates(got, slice(None), polled, d, cells, driver, step)
+            assert got.tobytes() == want.tobytes()
+            assert block.tobytes() == want_block.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=synchronous_sas_cases())
+    def test_run_matches_the_poller_gather_oracle(self, case):
+        def runner(**kw):
+            traj = run_sas(activation=ActivationModel("synchronous"), **kw)
+            return traj.u, traj.payoff, traj.extras["grad_table"], traj.extras["clocks"]
+
+        got = outcome(runner, **case)
+        want = outcome(reference_run_sas_synchronous, **case)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            assert got[3].dtype == want[3].dtype
+
+    def test_polled_stubborn_rows_stay_positive_zero(self, karate_graph, karate_partition, schedule, budget):
+        stubborn = list(karate_partition.stubborn)
+        polled_by = np.nonzero(karate_graph.P[:, stubborn])[0]
+        assert set(polled_by) - set(stubborn), "some free agent must poll a stubborn one"
+        traj = run_sas(karate_graph, karate_partition, budget, schedule, SYNC_RUN, n_iters=3000, seed=2)
+        rows = traj.extras["grad_table"][stubborn]
+        assert not rows.any() and not np.signbit(rows).any()
+        assert traj.extras["grad_table"].any()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("freeze_u", [False, True])
+    def test_non_finite_entry_raises_at_the_oracle_tick(self, karate_graph, karate_partition, schedule, bad, freeze_u):
+        # a frozen run starts past the knee, so its first tick goes bad;
+        # a free one passes it on its first step, so its second does.  The
+        # projection stops a NaN or +inf column sum before the table check
+        partition = replace(karate_partition, w={i: BadSlopeCurve(bad, 0.02) for i in karate_partition.controlled})
+        case = dict(
+            graph=karate_graph, partition=partition, budget=5.0, schedule=schedule, n_iters=50, seed=1,
+            u0=np.full(3, 0.5 if freeze_u else 0.0), freeze_u=freeze_u,
+        )
+        want = outcome(reference_run_sas_synchronous, **case)
+        assert isinstance(want, str)
+        with pytest.raises(DivergenceError) as err:
+            run_sas(activation=SYNC_RUN, **case)
+        assert str(err.value) == want
+        if freeze_u:
+            assert want == "sensitivity table left its sanity bound 10 at tick 1"
+        elif bad < 0:
+            assert want == "sensitivity table left its sanity bound 10 at tick 2"
+        else:
+            assert want.startswith("cannot project a non-finite control vector")
+
+
+SYNC_RUN = ActivationModel("synchronous")
 
 
 def mixed_curves(partition: AgentPartition) -> AgentPartition:

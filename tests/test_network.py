@@ -228,6 +228,17 @@ class TestLoadEdgeList:
             assert not any(a.flags.writeable for a in (graph.ptr, graph.cols, graph.vals, graph.P))
         assert copy.P.tobytes() == karate_graph.P.tobytes()
 
+    def test_edge_tuples_built_on_first_read(self, tmp_path):
+        path = write(tmp_path, "5 7 2.5\n7 9 0.5\n9 5 1.0\n5 7 1.0\n")
+        graph = load_edge_list(path)
+        assert graph._edges is None
+        src, dst, weights = graph.arcs
+        assert (src.tolist(), dst.tolist(), weights.tolist()) == ([0, 1, 2, 0], [1, 2, 0, 1], [2.5, 0.5, 1.0, 1.0])
+        assert graph.edges is graph.edges == tuple(zip(src.tolist(), dst.tolist(), weights.tolist()))
+        copy = pickle.loads(pickle.dumps(graph))
+        assert not any(a.flags.writeable for g in (graph, copy) for a in g.arcs)
+        assert copy.edges == graph.edges
+
     @pytest.mark.parametrize("directed", [False, True])
     def test_repeated_arcs_add_up_in_file_order(self, tmp_path, directed):
         # 1 + 1e16 + 1 rounds to 1e16 but 1 + 1 + 1e16 does not, so adding
