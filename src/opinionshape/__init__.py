@@ -38,7 +38,6 @@ from .dynamics import (
     total_payoff,
 )
 from .optim import (
-    LocalClocks,
     StepSchedule,
     Trajectory,
     exact_gradient,
@@ -50,11 +49,9 @@ from .sas import exact_grad_table, run_sas, sas_fast_update, sas_slow_update
 from .sgd import run_sgd, sample_killed_walk, sample_weighted_walk, sgd_step
 from .partial_obs import (
     Token,
-    hit_law_oracle,
     partial_fast_update,
     partial_slow_update,
     probe,
-    restricted_grad_oracle,
     run_partial,
 )
 from .general import (

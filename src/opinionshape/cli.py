@@ -2,7 +2,7 @@
 
     shape run --config FILE [--scheme S --seed N --iters K --jobs J --out DIR]
     shape gd --config FILE [...]
-    shape timing --config FILE [--schemes sas,sgd1,...]
+    shape timing --config FILE [--seed N --schemes sas,sgd1,... --timing-iters K]
 
 Exit codes: 0 success, 2 configuration error, 3 numerical infeasibility or
 divergence.
@@ -23,8 +23,12 @@ EXIT_NUMERIC = 3
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="flat key=value config file")
-    parser.add_argument("--scheme", default=None, choices=SCHEMES)
     parser.add_argument("--seed", type=int, default=None)
+
+
+def _run_flags(parser: argparse.ArgumentParser) -> None:
+    _common_flags(parser)
+    parser.add_argument("--scheme", default=None, choices=SCHEMES)
     parser.add_argument("--iters", type=int, default=None, dest="n_iters")
     parser.add_argument("--runs", type=int, default=None, dest="n_runs")
     parser.add_argument("--jobs", type=int, default=None)
@@ -36,10 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run the configured scheme over seeded repetitions")
-    _common_flags(run_p)
+    _run_flags(run_p)
 
     gd_p = sub.add_parser("gd", help="single deterministic exact-gradient run")
-    _common_flags(gd_p)
+    _run_flags(gd_p)
 
     timing_p = sub.add_parser("timing", help="per-iteration wall-clock report")
     _common_flags(timing_p)

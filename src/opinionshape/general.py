@@ -25,7 +25,7 @@ import numpy as np
 from .curves import ConstantCurve, Curve, eval_groups, group_curves
 from .dynamics import initial_state, sample_poll_targets
 from .network import STUBBORN, AgentPartition, InteractionGraph, fixed_point, solve, system_matrix
-from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, run_loop
+from .optim import StepSchedule, Trajectory, project_budget_simplex, run_loop
 from .sas import _tick_fast_updates, owned_cells, poll_blocks
 
 NOISE_SEED_TAG = 0x5EED
@@ -112,7 +112,7 @@ def value_oracle(
 ) -> np.ndarray:
     """Stationary values under control-dependent influence (linear solve)."""
     damp, rhs, _ = _fixed_point(partition, model, u)
-    return solve(system_matrix(graph.P, damp), rhs)
+    return solve(system_matrix(graph, damp), rhs)
 
 
 def general_payoff(
@@ -132,7 +132,7 @@ def general_payoff_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Payoff plus its exact control gradient (adjoint solve)."""
     damp, rhs, (a, ad, w, wd) = _fixed_point(partition, model, u)
-    system = system_matrix(graph.P, damp)
+    system = system_matrix(graph, damp)
     x = solve(system, rhs)
     adj = solve(system.T, np.ones(graph.node_count))
     idx = list(partition.controlled)
@@ -186,7 +186,7 @@ def value_update(
     partition: AgentPartition,
     model: GeneralModel,
     u: np.ndarray,
-    clocks: LocalClocks,
+    clocks: np.ndarray,
     schedule: StepSchedule,
 ) -> np.ndarray:
     """Relax one node's value toward its sampled one-step target.
@@ -200,9 +200,9 @@ def value_update(
     damp, rhs, _ = _fixed_point(partition, model, u)
     rows = np.array([node])
     _tick_fast_updates(
-        new, rows, np.array([probed]), damp[rows], slice(None), rhs[rows], schedule.a(clocks.value(node))
+        new, rows, np.array([probed]), damp[rows], slice(None), rhs[rows], schedule.a(clocks[node])
     )
-    clocks.bump([node])
+    clocks[node] += 1
     return new
 
 
@@ -214,7 +214,7 @@ def general_grad_update(
     partition: AgentPartition,
     model: GeneralModel,
     u: np.ndarray,
-    clocks: LocalClocks,
+    clocks: np.ndarray,
     schedule: StepSchedule,
 ) -> np.ndarray:
     """Sensitivity update carrying the influence-curve derivative terms.
@@ -232,9 +232,9 @@ def general_grad_update(
     damp, _, tables = _fixed_point(partition, model, u)
     _tick_fast_updates(
         new, pollers, polled, damp[pollers][:, None], own_cells,
-        _driver(tables, sel, values[polled[own_rows]]), schedule.a(clocks.value(node)),
+        _driver(tables, sel, values[polled[own_rows]]), schedule.a(clocks[node]),
     )
-    clocks.bump([node])
+    clocks[node] += 1
     return new
 
 

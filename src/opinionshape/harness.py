@@ -6,7 +6,7 @@ seed+1, ..., writes one CSV per run plus a quartile summary of the relative
 payoff gap, all measured against a reference optimum computed once per
 instance.  Identical config and seed produce byte-identical CSVs on the
 same BLAS build and thread setting; the stationary solve's last bits depend
-on both (ROADMAP item 7).  A relative gap against a payoff* of 0 is nan.
+on both (ROADMAP item 4).  A relative gap against a payoff* of 0 is nan.
 """
 
 from __future__ import annotations

@@ -58,23 +58,6 @@ def slow_step(B: float, denom: int, k: int) -> float:
 
 
 @dataclass
-class LocalClocks:
-    """Per-agent update counters; the step index for local step sizes."""
-
-    counts: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int) -> "LocalClocks":
-        return cls(counts=np.zeros(n, dtype=np.int64))
-
-    def value(self, node: int) -> int:
-        return int(self.counts[node])
-
-    def bump(self, nodes) -> None:
-        self.counts[nodes] += 1
-
-
-@dataclass
 class Trajectory:
     """Per-iteration record of a run: controls, payoff, gap, and tick times."""
 

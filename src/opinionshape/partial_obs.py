@@ -13,9 +13,11 @@ nodes that stays 0 elsewhere, relaxed toward its one-step target on probe
 events and pinned at zero on stubborn agents.  Hidden agents are
 uncontrolled relays, so eliminating them keeps each observed agent's row
 sum of the full sensitivity table: at an observed learner i the scalar's
-fixed point (``restricted_grad_oracle``) equals
-sum_j ``exact_grad_table(u)[i, j]``, whatever the observed set.  The
-scheme's limit therefore does not depend on which agents are hidden.
+fixed point equals sum_j ``exact_grad_table(u)[i, j]``, whatever the
+observed set.  The scheme's limit therefore does not depend on which
+agents are hidden.  The exact probe law and that fixed point, solved
+directly, are test oracles: ``reference_hit_law_oracle`` and
+``reference_restricted_grad_oracle`` in ``tests/helpers.py``.
 Controls ascend their own agent's scalar on the slow scale: a row sum,
 where the payoff gradient is a column sum, so the logged gap need not
 reach zero.
@@ -32,8 +34,8 @@ import numpy as np
 
 from .dynamics import payoff_fn
 from .errors import NonAbsorbingError
-from .network import AgentPartition, InteractionGraph, fixed_point, solve, system_matrix
-from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, run_loop
+from .network import AgentPartition, InteractionGraph
+from .optim import StepSchedule, Trajectory, project_budget_simplex, run_loop
 from .sas import _tick_fast_updates, owned_cells
 
 HOP_CAP = 10_000_000
@@ -139,53 +141,13 @@ def probe(
     return relay_token(graph, partition, observed, node, rng).terminal
 
 
-def hit_law_oracle(
-    graph: InteractionGraph,
-    partition: AgentPartition,
-    observed: tuple[int, ...] | set[int],
-) -> tuple[np.ndarray, list[int]]:
-    """Exact probe law per observed non-stubborn agent (test oracle).
-
-    Row i gives q*(. | i) over the terminal states, computed by eliminating
-    the hidden relays with an absorption solve on the hidden subgraph.
-    """
-    terminal = sorted(set(observed) | set(partition.stubborn))
-    hidden = sorted(set(range(graph.node_count)) - set(terminal))
-    P = graph.P
-    reach = solve(system_matrix(P[np.ix_(hidden, hidden)], np.ones(len(hidden))), P[np.ix_(hidden, terminal)])
-    law = np.zeros((graph.node_count, len(terminal)))
-    # one vector-matrix product per row; a matrix product sums in another order
-    law[terminal] = P[np.ix_(terminal, terminal)] + (P[np.ix_(terminal, hidden)][:, None] @ reach)[:, 0]
-    return law, terminal
-
-
-def restricted_grad_oracle(
-    graph: InteractionGraph,
-    partition: AgentPartition,
-    observed: tuple[int, ...] | set[int],
-    u: np.ndarray,
-) -> dict[int, float]:
-    """Fixed point of the restricted scalar recursion (test oracle): the
-    stationary fixed point on the observed non-stubborn agents, with q* for
-    P and the driver alpha w'(u) for the reward."""
-    law, terminal = hit_law_oracle(graph, partition, observed)
-    stubborn = partition.stubborn_set()
-    cols = [c for c, node in enumerate(terminal) if node not in stubborn]
-    free = [terminal[c] for c in cols]
-    damp, rhs = fixed_point(partition, partition.alpha[list(partition.controlled)], partition.w_derivs(u))
-    sol = solve(system_matrix(law[np.ix_(free, cols)], damp[free]), rhs[free])
-    out = dict(zip(free, sol.tolist()))
-    out.update((node, 0.0) for node in terminal if node in stubborn)
-    return out
-
-
 def partial_fast_update(
     grad_vec: np.ndarray,
     node: int,
     probed: int,
     partition: AgentPartition,
     u: np.ndarray,
-    clocks: LocalClocks,
+    clocks: np.ndarray,
     schedule: StepSchedule,
 ) -> np.ndarray:
     """Relax one scalar toward its probe-event target; stubborn entries stay 0.
@@ -202,9 +164,9 @@ def partial_fast_update(
     driver = partition.alpha[rows[own_rows]] * partition.w_derivs(u)[own_cols]
     _tick_fast_updates(
         new, rows, np.array([probed]), 1.0 - partition.alpha[rows], own_rows, driver,
-        schedule.a(clocks.value(node)),
+        schedule.a(clocks[node]),
     )
-    clocks.bump([node])
+    clocks[node] += 1
     return new
 
 

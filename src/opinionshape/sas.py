@@ -15,7 +15,7 @@ import numpy as np
 from .dynamics import payoff_fn, sample_poll_targets
 from .errors import DivergenceError
 from .network import STUBBORN, ActivationModel, AgentPartition, InteractionGraph, solve, stationary_system
-from .optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex, run_loop
+from .optim import StepSchedule, Trajectory, project_budget_simplex, run_loop
 
 # sanity ceiling on table entries: alpha_max * max w' / alpha_min, slack 10x
 BOUND_SLACK = 10.0
@@ -43,7 +43,7 @@ def sas_fast_update(
     graph: InteractionGraph,
     partition: AgentPartition,
     u: np.ndarray,
-    clocks: LocalClocks,
+    clocks: np.ndarray,
     schedule: StepSchedule,
 ) -> np.ndarray:
     """Apply one observed poll event to the sensitivity table.
@@ -60,9 +60,9 @@ def sas_fast_update(
     driver = partition.alpha[pollers[own_rows]] * partition.w_derivs(u)[own_cols]
     _tick_fast_updates(
         new, pollers, np.array([polled]), (1.0 - partition.alpha[pollers])[:, None],
-        own_cells, driver, schedule.a(clocks.value(poller)),
+        own_cells, driver, schedule.a(clocks[poller]),
     )
-    clocks.bump([poller])
+    clocks[poller] += 1
     return new
 
 
@@ -191,18 +191,16 @@ def run_sas(
             return finish(k, u, updated)
 
     else:
-        local = LocalClocks(clocks)
-
         def tick(k, u):
             pollers = np.flatnonzero((rng.random(n) < activation.q) & free)
             polled = sample_poll_targets(cdf, pollers, rng)
             own_rows, own_cols, own_cells = owned_cells(codes, pollers, n_ctrl)
             driver = driver_at(alpha[pollers[own_rows]], own_cols, u)
-            steps = schedule.a(local.counts[pollers])[:, None]
+            steps = schedule.a(clocks[pollers])[:, None]
             updated = _tick_fast_updates(
                 grad_table, pollers, polled, (1.0 - alpha[pollers])[:, None], own_cells, driver, steps
             )
-            local.bump(pollers)
+            clocks[pollers] += 1
             return finish(k, u, updated)
 
     traj = run_loop("sas", u, n_iters, tick, payoff_fn(graph, partition), payoff_star)

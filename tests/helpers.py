@@ -16,7 +16,7 @@ from opinionshape.dynamics import OpinionState, PollEvent, payoff_coefficients, 
 from opinionshape.errors import DivergenceError, EdgeListParseError, NonAbsorbingError
 from opinionshape.general import GeneralModel, _driver, _fixed_point
 from opinionshape.network import STUBBORN, AgentPartition, InteractionGraph, PollTable, random_partition, row_normalize
-from opinionshape.optim import LocalClocks, StepSchedule, Trajectory, project_budget_simplex
+from opinionshape.optim import StepSchedule, Trajectory, project_budget_simplex
 from opinionshape.partial_obs import HOP_CAP, Token
 from opinionshape.sas import _table_bound
 from opinionshape.sgd import WALK_STEP_CAP
@@ -109,6 +109,17 @@ def single_agent_instance(alpha: float, curve):
         w={0: curve},
     )
     return graph, partition
+
+
+def reference_stranded_nodes(P: np.ndarray, deficient: np.ndarray) -> np.ndarray:
+    """``network.stranded_nodes`` by the transitive closure of P's support,
+    squared until it stops growing: the nodes that reach no deficient row."""
+    reach = (np.asarray(P) > 0) | np.eye(len(P), dtype=bool)
+    while True:
+        wider = (reach.astype(int) @ reach.astype(int)) > 0
+        if (wider == reach).all():
+            return np.flatnonzero(~(reach & deficient).any(axis=1))
+        reach = wider
 
 
 def random_instance(seed: int, max_nodes: int = 40):
@@ -489,7 +500,14 @@ def reference_gossip_step(state, u, graph, partition, activation, rng):
 
 
 def reference_hit_law_oracle(graph: InteractionGraph, partition: AgentPartition, observed):
-    """``partial_obs.hit_law_oracle`` with one row product per terminal state."""
+    """Exact probe law per observed non-stubborn agent, the oracle for
+    ``partial_obs.relay_token``'s terminals.
+
+    Row i gives q*(. | i) over the terminal states (the observed set united
+    with the stubborn set), computed by eliminating the hidden relays with
+    an absorption solve on the hidden subgraph, then one row product per
+    terminal state.
+    """
     terminal = sorted(set(observed) | set(partition.stubborn))
     hidden = sorted(set(range(graph.node_count)) - set(terminal))
     P = graph.P
@@ -505,7 +523,10 @@ def reference_hit_law_oracle(graph: InteractionGraph, partition: AgentPartition,
 
 
 def reference_restricted_grad_oracle(graph: InteractionGraph, partition: AgentPartition, observed, u: np.ndarray):
-    """``partial_obs.restricted_grad_oracle`` with the system filled entry by entry."""
+    """Fixed point of ``partial``'s restricted scalar recursion: the
+    stationary fixed point on the observed non-stubborn agents, with q* for
+    P and the driver alpha w'(u) for the reward, its system filled entry by
+    entry.  Stubborn entries are 0."""
     law, terminal = reference_hit_law_oracle(graph, partition, observed)
     stubborn = set(partition.stubborn)
     free = [node for node in terminal if node not in stubborn]
@@ -625,7 +646,7 @@ def reference_value_update(
     partition: AgentPartition,
     model: GeneralModel,
     u: np.ndarray,
-    clocks: LocalClocks,
+    clocks: np.ndarray,
     schedule: StepSchedule,
 ) -> np.ndarray:
     """``general.value_update`` as a per-event function, the oracle for its
@@ -640,9 +661,9 @@ def reference_value_update(
         w = model.w_curves[node].value(float(u[pos]))
     else:
         a, w = 0.0, 0.0
-    step = schedule.a(clocks.value(node))
+    step = schedule.a(clocks[node])
     new[node] = values[node] + step * (a * w + (1.0 - a) * values[probed] - values[node])
-    clocks.bump([node])
+    clocks[node] += 1
     return new
 
 
@@ -654,7 +675,7 @@ def reference_general_grad_update(
     partition: AgentPartition,
     model: GeneralModel,
     u: np.ndarray,
-    clocks: LocalClocks,
+    clocks: np.ndarray,
     schedule: StepSchedule,
 ) -> np.ndarray:
     """``general.general_grad_update`` as a per-event function, the oracle for
@@ -676,13 +697,13 @@ def reference_general_grad_update(
         wd = model.w_curves[node].deriv(x)
     else:
         a, ad, w, wd = 0.0, 0.0, 0.0, 0.0
-    step = schedule.a(clocks.value(node))
+    step = schedule.a(clocks[node])
     target = (1.0 - a) * grad_table[probed]
     if pos is not None:
         target = target.copy()
         target[pos] += a * wd + ad * w - ad * values[probed]
     new[node] = grad_table[node] + step * (target - grad_table[node])
-    clocks.bump([node])
+    clocks[node] += 1
     return new
 
 

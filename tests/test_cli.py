@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -78,6 +79,21 @@ def test_infeasible_instance_is_exit_3(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 3
 
 
+def test_two_node_instance_that_never_absorbs_is_exit_3_within_a_second(tmp_path, capsys):
+    # both nodes controlled with alpha = 0 and none stubborn: Id - A is
+    # singular, yet LAPACK solves its transpose with residual 0.0.  The
+    # graph search refuses it before the solve and before any walk
+    edges = tmp_path / "two.edges"
+    edges.write_text("0 1\n1 0\n0 0\n")
+    cfg = write_config(
+        tmp_path, network=edges, s_size=2, s1_size=0, s0_size=0, alpha=0.0, scheme="sgd1", out_dir=tmp_path / "out"
+    )
+    start = time.perf_counter()
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "node 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scheme", ["general-rl", "general-knownp"])
 def test_general_scheme_without_stubborn_agents_is_exit_3(tmp_path, scheme):
     # alpha(0) = 0 and no stubborn agent: the general system at u = 0 is
@@ -96,6 +112,16 @@ def test_timing_subcommand(tmp_path, capsys):
 def test_timing_empty_schemes_is_exit_2(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["timing", "--config", str(cfg), "--schemes", ""]) == 2
+
+
+@pytest.mark.parametrize("flag", [["--iters", "5"], ["--runs", "1"], ["--jobs", "1"], ["--out", "t"]])
+def test_timing_refuses_the_flags_it_does_not_read(tmp_path, flag):
+    # timing_report picks the schemes and the iteration count itself.
+    # argparse reads --scheme as an abbreviation of --schemes
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        main(["timing", "--config", str(cfg), *flag])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(

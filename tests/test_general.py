@@ -20,7 +20,7 @@ from opinionshape.general import (
     value_update,
 )
 from opinionshape.network import ActivationModel, AgentPartition
-from opinionshape.optim import LocalClocks, StepSchedule
+from opinionshape.optim import StepSchedule
 from opinionshape.sas import exact_grad_table, run_sas
 
 from helpers import all_stubborn_instance, graph_from_P
@@ -59,7 +59,7 @@ class TestValueOracle:
         for u in (np.zeros(3), np.array([1.0, 0.3, 2.0])):
             damp, rhs, _ = _fixed_point(karate_partition, model, u)
             base = stationary_system(karate_graph, karate_partition)
-            assert np.array_equal(system_matrix(karate_graph.P, damp), base)
+            assert np.array_equal(system_matrix(karate_graph, damp), base)
             assert np.array_equal(rhs, influence_rhs(karate_partition, u))
 
     def test_payoff_gradient_matches_finite_differences(self, karate_graph, karate_partition, karate_study):
@@ -82,7 +82,7 @@ class TestValueUpdate:
         values = np.zeros(34)
         stub = karate_partition.stubborn[0]
         values[stub] = karate_partition.h[stub]
-        out = value_update(values, stub, 0, karate_partition, karate_study, np.zeros(3), LocalClocks.zeros(34), schedule)
+        out = value_update(values, stub, 0, karate_partition, karate_study, np.zeros(3), np.zeros(34, dtype=np.int64), schedule)
         assert np.array_equal(out, values)
 
     def test_certain_influence_converges_to_reward(self, schedule):
@@ -102,7 +102,7 @@ class TestValueUpdate:
         )
         u = np.array([0.4])
         values = np.zeros(2)
-        clocks = LocalClocks.zeros(2)
+        clocks = np.zeros(2, dtype=np.int64)
         for _ in range(300):
             values = value_update(values, 0, 1, partition, model, u, clocks, schedule)
         assert values[0] == pytest.approx(model.w_curves[0].value(0.4), abs=1e-6)
@@ -147,10 +147,10 @@ class TestGradUpdate:
         node = karate_partition.controlled[1]
         polled = 5
         got = general_grad_update(
-            table, values, node, polled, karate_partition, model, u, LocalClocks.zeros(34), schedule
+            table, values, node, polled, karate_partition, model, u, np.zeros(34, dtype=np.int64), schedule
         )
         want = sas_fast_update(
-            table, (node, polled), karate_graph, karate_partition, u, LocalClocks.zeros(34), schedule
+            table, (node, polled), karate_graph, karate_partition, u, np.zeros(34, dtype=np.int64), schedule
         )
         assert np.array_equal(got, want)
 
@@ -166,7 +166,7 @@ class TestGradUpdate:
         values = np.full(34, 0.2)
         table = np.zeros((34, 3))
         out = general_grad_update(
-            table, values, node, 1, karate_partition, model, u, LocalClocks.zeros(34), schedule
+            table, values, node, 1, karate_partition, model, u, np.zeros(34, dtype=np.int64), schedule
         )
         ad = model.alpha_curves[node].deriv(0.0)
         expected = schedule.a(0) * ad * (0.7 - 0.2)

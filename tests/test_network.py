@@ -24,10 +24,19 @@ from opinionshape.network import (
     random_partition,
     row_normalize,
     stationary_system,
+    stranded_nodes,
     substochastic_matrix,
+    system_matrix,
 )
 
-from helpers import graph_from_P, random_instance, reference_load_edge_list, reference_poll_table
+from helpers import (
+    SolveCounter,
+    graph_from_P,
+    random_instance,
+    reference_load_edge_list,
+    reference_poll_table,
+    reference_stranded_nodes,
+)
 
 
 def write(tmp_path, text, name="g.edges"):
@@ -575,3 +584,70 @@ class TestFeasibility:
         g = graph_from_P(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(InfeasibleError):
             random_partition(g, (2, 0, 0), 0.0, seed=0)
+
+    def test_directed_sink_cycle_is_rejected_before_the_solve(self, tmp_path, monkeypatch):
+        # 3 -> 0 -> 1 <-> 2: the cycle {1, 2} never reaches the stubborn 3
+        path = write(tmp_path, "3 0\n0 1\n1 2\n2 1\n")
+        graph = load_edge_list(path, directed=True)
+        partition = AgentPartition(
+            controlled=(), uncontrolled=(0, 1, 2), stubborn=(3,), alpha=np.zeros(4), h={3: 1.0}, w={}
+        )
+        assert stranded_nodes(graph, np.array([False, False, False, True])).tolist() == [0, 1, 2]
+        counter = SolveCounter(monkeypatch, 4)
+        with pytest.raises(InfeasibleError, match="node 0 reaches no stubborn node"):
+            check_feasible(graph, partition)
+        assert counter.calls == 0
+        # an arc out of the cycle to the stubborn node makes it feasible
+        check_feasible(load_edge_list(write(tmp_path, "3 0\n0 1\n1 2\n2 1\n2 3\n"), directed=True), partition)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_search_matches_the_transitive_closure(self, data):
+        # directed graphs with loops; each node stubborn, uncontrolled or
+        # controlled with alpha 0, 5e-324 (1 - alpha rounds to 1), 0.5 or 1
+        n = data.draw(st.integers(1, 8))
+        adjacency = np.zeros((n, n))
+        for i in range(n):
+            targets = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+            adjacency[i, targets] = 1.0
+        graph = graph_from_P(row_normalize(adjacency))
+        kinds = data.draw(st.lists(st.sampled_from(["S1", "S0", 0.0, 5e-324, 0.5, 1.0]), min_size=n, max_size=n))
+        controlled = tuple(i for i, k in enumerate(kinds) if not isinstance(k, str))
+        stubborn = tuple(i for i, k in enumerate(kinds) if k == "S0")
+        alpha = np.zeros(n)
+        alpha[list(controlled)] = [kinds[i] for i in controlled]
+        partition = AgentPartition(
+            controlled=controlled, uncontrolled=tuple(i for i, k in enumerate(kinds) if k == "S1"),
+            stubborn=stubborn, alpha=alpha, h={i: 0.5 for i in stubborn}, w={i: SaturatingCurve() for i in controlled},
+        )
+        deficient = (1.0 - alpha < 1.0) | np.isin(np.arange(n), stubborn)
+        want = reference_stranded_nodes(graph.P, deficient)
+        assert stranded_nodes(graph, deficient).tolist() == want.tolist()
+        if want.size:
+            with pytest.raises(InfeasibleError, match=f"node {want[0]} "):
+                graph.payoff_adjoint(partition)
+        else:
+            graph.payoff_adjoint(partition)
+            assert np.linalg.matrix_rank(stationary_system(graph, partition)) == n
+
+
+class TestSystemMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_scatter_has_the_dense_bits(self, data):
+        # weighted or not, directed or not, with loops and repeated arcs;
+        # damps with exact 0 and 1 entries, as stubborn and alpha = 0 rows
+        # give.  Signed zeros included
+        n = data.draw(st.integers(1, 9))
+        arcs = [(i, (i + 1) % n) for i in range(n)]
+        arcs += data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+        weight = st.sampled_from(["1", "3", "0.1", "2.5e2", "1e-3"]) | st.floats(0.01, 10.0).map(repr)
+        weighted = data.draw(st.booleans())
+        lines = [f"{i} {j} {data.draw(weight)}" if weighted else f"{i} {j}" for i, j in arcs]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.edges"
+            path.write_text("\n".join(lines) + "\n")
+            graph = load_edge_list(path, directed=data.draw(st.booleans()))
+        damp = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        want = np.eye(n) - damp[:, None] * graph.P
+        assert system_matrix(graph, damp).tobytes() == want.tobytes()

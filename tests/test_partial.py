@@ -9,24 +9,22 @@ import opinionshape.partial_obs as partial_mod
 from opinionshape.curves import SaturatingCurve
 from opinionshape.errors import NonAbsorbingError
 from opinionshape.network import AgentPartition
-from opinionshape.optim import LocalClocks, StepSchedule
+from opinionshape.optim import StepSchedule
 from opinionshape.partial_obs import (
     BLOCK,
     BlockUniforms,
     Token,
-    hit_law_oracle,
     observed_set,
     partial_fast_update,
     partial_slow_update,
     probe,
     relay_token,
-    restricted_grad_oracle,
     run_partial,
     sample_hidden,
 )
 from opinionshape.sas import exact_grad_table
 
-from helpers import chain_instance, graph_from_P
+from helpers import chain_instance, graph_from_P, reference_hit_law_oracle, reference_restricted_grad_oracle
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +55,7 @@ class TestHiddenSampling:
 class TestProbe:
     def test_all_observed_is_one_poll(self, karate_graph, karate_partition):
         # with everything observed the probe law is exactly the poll matrix
-        law, terminal = hit_law_oracle(karate_graph, karate_partition, tuple(range(34)))
+        law, terminal = reference_hit_law_oracle(karate_graph, karate_partition, tuple(range(34)))
         assert terminal == list(range(34))
         for i in karate_partition.controlled:
             assert np.allclose(law[i], karate_graph.P[i], atol=1e-12)
@@ -93,7 +91,7 @@ class TestProbe:
         assert token == Token(origin=0, terminal=2, hops=2, stamp=7)
 
     def test_empirical_law_matches_oracle(self, karate_graph, karate_partition, karate_observed):
-        law, terminal = hit_law_oracle(karate_graph, karate_partition, karate_observed)
+        law, terminal = reference_hit_law_oracle(karate_graph, karate_partition, karate_observed)
         t_index = {n: i for i, n in enumerate(terminal)}
         rng = np.random.default_rng(5)
         start = karate_partition.controlled[1]
@@ -105,7 +103,7 @@ class TestProbe:
         assert tv <= 0.01
 
     def test_oracle_rows_are_distributions(self, karate_graph, karate_partition, karate_observed):
-        law, terminal = hit_law_oracle(karate_graph, karate_partition, karate_observed)
+        law, terminal = reference_hit_law_oracle(karate_graph, karate_partition, karate_observed)
         for i in karate_partition.controlled:
             assert law[i].sum() == pytest.approx(1.0, abs=1e-10)
             assert np.all(law[i] >= -1e-15)
@@ -115,7 +113,7 @@ class TestRestrictedOracle:
     def test_all_observed_equals_row_sums_of_full_table(self, karate_graph, karate_partition):
         u = np.array([0.8, 0.4, 1.2])
         full = exact_grad_table(karate_graph, karate_partition, u)
-        restricted = restricted_grad_oracle(karate_graph, karate_partition, tuple(range(34)), u)
+        restricted = reference_restricted_grad_oracle(karate_graph, karate_partition, tuple(range(34)), u)
         for node in range(34):
             assert restricted[node] == pytest.approx(full[node].sum(), abs=1e-9)
 
@@ -132,13 +130,13 @@ class TestRestrictedOracle:
         u = np.array(u)
         observed = observed_set(karate_partition, sample_hidden(karate_partition, fraction, seed))
         row_sums = exact_grad_table(karate_graph, karate_partition, u).sum(axis=1)
-        restricted = restricted_grad_oracle(karate_graph, karate_partition, observed, u)
+        restricted = reference_restricted_grad_oracle(karate_graph, karate_partition, observed, u)
         assert sorted(restricted) == list(observed)
         for node in observed:
             assert restricted[node] == pytest.approx(row_sums[node], rel=1e-12, abs=1e-14)
 
     def test_stubborn_entries_zero(self, karate_graph, karate_partition, karate_observed):
-        out = restricted_grad_oracle(karate_graph, karate_partition, karate_observed, np.zeros(3))
+        out = reference_restricted_grad_oracle(karate_graph, karate_partition, karate_observed, np.zeros(3))
         for i in karate_partition.stubborn:
             assert out[i] == 0.0
 
@@ -146,14 +144,14 @@ class TestRestrictedOracle:
 class TestFastUpdate:
     def test_fixed_point_has_zero_expected_drift(self, karate_graph, karate_partition, karate_observed, schedule):
         u = np.array([0.5, 0.5, 0.5])
-        law, terminal = hit_law_oracle(karate_graph, karate_partition, karate_observed)
-        oracle = restricted_grad_oracle(karate_graph, karate_partition, karate_observed, u)
+        law, terminal = reference_hit_law_oracle(karate_graph, karate_partition, karate_observed)
+        oracle = reference_restricted_grad_oracle(karate_graph, karate_partition, karate_observed, u)
         fixed = np.zeros(34)
         fixed[list(oracle)] = list(oracle.values())
         node = karate_partition.controlled[0]
         drift = 0.0
         for other in terminal:
-            clocks = LocalClocks.zeros(34)
+            clocks = np.zeros(34, dtype=np.int64)
             new = partial_fast_update(fixed, node, other, karate_partition, u, clocks, schedule)
             drift += law[node, terminal.index(other)] * (new[node] - fixed[node])
         assert drift == pytest.approx(0.0, abs=1e-12)
@@ -170,14 +168,14 @@ class TestFastUpdate:
         )
         u = np.array([0.2])
         grad_vec = np.zeros(3)
-        clocks = LocalClocks.zeros(3)
+        clocks = np.zeros(3, dtype=np.int64)
         for _ in range(200):
             grad_vec = partial_fast_update(grad_vec, 0, 2, partition, u, clocks, schedule)
         assert grad_vec[0] == pytest.approx(partition.w[0].deriv(0.2), abs=1e-6)
 
     def test_stubborn_update_ignored(self, karate_partition, schedule):
         grad_vec = np.ones(34)
-        clocks = LocalClocks.zeros(34)
+        clocks = np.zeros(34, dtype=np.int64)
         stub = karate_partition.stubborn[0]
         out = partial_fast_update(grad_vec, stub, 0, karate_partition, np.zeros(3), clocks, schedule)
         assert np.array_equal(out, grad_vec)
@@ -207,10 +205,10 @@ class TestRunPartial:
         # drive the fast recursion directly against the oracle
         observed = observed_set(karate_partition, karate_hidden)
         u = np.array([1.0, 0.5, 1.5])
-        oracle = restricted_grad_oracle(karate_graph, karate_partition, observed, u)
+        oracle = reference_restricted_grad_oracle(karate_graph, karate_partition, observed, u)
         rng = np.random.default_rng(0)
         grad_vec = {node: 0.0 for node in observed}
-        clocks = LocalClocks.zeros(34)
+        clocks = np.zeros(34, dtype=np.int64)
         stubborn = set(karate_partition.stubborn)
         learners = [n for n in observed if n not in stubborn]
         for _ in range(30_000):
@@ -220,11 +218,11 @@ class TestRunPartial:
                 a = karate_partition.alpha[node]
                 pos = karate_partition.control_index().get(node)
                 own = a * karate_partition.w[node].deriv(float(u[pos])) if pos is not None else 0.0
-                step = schedule.a(clocks.value(node))
+                step = schedule.a(clocks[node])
                 grad_vec[node] = snapshot[node] + step * (
                     own + (1.0 - a) * snapshot[tok.terminal] - snapshot[node]
                 )
-            clocks.bump(learners)
+            clocks[learners] += 1
         err = max(abs(grad_vec[n] - oracle[n]) for n in learners)
         assert err <= 1e-2
 

@@ -8,7 +8,7 @@ from opinionshape.curves import ConstantCurve, SaturatingCurve
 from opinionshape.general import run_general_rl, study_model
 from opinionshape.harness import build_instance
 from opinionshape.network import ActivationModel, AgentPartition, substochastic_matrix
-from opinionshape.optim import LocalClocks, exact_gradient, project_budget_simplex
+from opinionshape.optim import exact_gradient, project_budget_simplex
 from opinionshape.sas import exact_grad_table, run_sas, sas_fast_update, sas_slow_update
 
 from helpers import chain_instance, graph_from_P, single_agent_instance
@@ -72,7 +72,7 @@ class TestFastUpdate:
             for polled in range(34):
                 if P[poller, polled] == 0:
                     continue
-                clocks = LocalClocks.zeros(34)
+                clocks = np.zeros(34, dtype=np.int64)
                 new = sas_fast_update(
                     table, (poller, polled), karate_graph, karate_partition, u, clocks, schedule
                 )
@@ -82,21 +82,21 @@ class TestFastUpdate:
     def test_first_event_writes_scaled_derivative(self, schedule):
         graph, partition = single_agent_instance(1.0, SaturatingCurve(0.1))
         table = np.zeros((1, 1))
-        clocks = LocalClocks.zeros(1)
+        clocks = np.zeros(1, dtype=np.int64)
         u = np.array([0.1])
         new = sas_fast_update(table, (0, 0), graph, partition, u, clocks, schedule)
         assert new[0, 0] == pytest.approx(schedule.a(0) * partition.w[0].deriv(0.1))
-        assert clocks.value(0) == 1
+        assert clocks[0] == 1
 
     def test_stubborn_poller_ignored(self, karate_graph, karate_partition, schedule):
         table = np.ones((34, 3))
-        clocks = LocalClocks.zeros(34)
+        clocks = np.zeros(34, dtype=np.int64)
         stub = karate_partition.stubborn[0]
         new = sas_fast_update(
             table, (stub, 0), karate_graph, karate_partition, np.zeros(3), clocks, schedule
         )
         assert np.array_equal(new, table)
-        assert clocks.value(stub) == 0
+        assert clocks[stub] == 0
 
     def test_long_run_frozen_u_converges(self, karate_graph, karate_partition, schedule, budget):
         u = np.array([1.0, 2.0, 1.5])
@@ -165,12 +165,12 @@ class TestRunSas:
         polled = sample_poll_targets(karate_graph.poll_cdf(), pollers, rng)
         table = np.zeros((34, 3))
         expect = table.copy()
-        clocks = LocalClocks.zeros(34)
+        clocks = np.zeros(34, dtype=np.int64)
         u0 = np.zeros(3)
         for i, j in zip(pollers, polled):
             upd = sas_fast_update(
                 table, (int(i), int(j)), karate_graph, karate_partition, u0,
-                LocalClocks.zeros(34), schedule,
+                np.zeros(34, dtype=np.int64), schedule,
             )
             expect[i] = upd[i]
         u1 = project_budget_simplex(u0 + schedule.b(0) * expect.sum(axis=0), budget)

@@ -19,7 +19,6 @@ from opinionshape.network import (
     stationary_system,
     substochastic_matrix,
 )
-from opinionshape.partial_obs import hit_law_oracle, restricted_grad_oracle
 from opinionshape.sas import exact_grad_table
 
 from helpers import SolveCounter, graph_from_P
@@ -98,12 +97,8 @@ def two_cycles_instance():
     "oracle",
     [
         lambda graph, partition: exact_grad_table(graph, partition, np.ones(1)),
-        # hidden {2, 3} never reaches a terminal: the absorption system is singular
-        lambda graph, partition: hit_law_oracle(graph, partition, (0, 1)),
-        # nothing hidden: the restricted system is Id - P itself
-        lambda graph, partition: restricted_grad_oracle(graph, partition, (0, 1, 2, 3), np.ones(1)),
     ],
-    ids=["exact_grad_table", "hit_law_oracle", "restricted_grad_oracle"],
+    ids=["exact_grad_table"],
 )
 def test_exact_oracles_raise_infeasible_on_a_singular_system(oracle):
     graph, partition = two_cycles_instance()
