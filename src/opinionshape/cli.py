@@ -36,16 +36,19 @@ def _run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="shape", description="Budgeted opinion shaping experiments")
+    # allow_abbrev=False: no flag stands for a longer one (--scheme for --schemes)
+    parser = argparse.ArgumentParser(
+        prog="shape", description="Budgeted opinion shaping experiments", allow_abbrev=False
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run the configured scheme over seeded repetitions")
+    run_p = sub.add_parser("run", allow_abbrev=False, help="run the configured scheme over seeded repetitions")
     _run_flags(run_p)
 
-    gd_p = sub.add_parser("gd", help="single deterministic exact-gradient run")
+    gd_p = sub.add_parser("gd", allow_abbrev=False, help="single deterministic exact-gradient run")
     _run_flags(gd_p)
 
-    timing_p = sub.add_parser("timing", help="per-iteration wall-clock report")
+    timing_p = sub.add_parser("timing", allow_abbrev=False, help="per-iteration wall-clock report")
     _common_flags(timing_p)
     timing_p.add_argument(
         "--schemes",

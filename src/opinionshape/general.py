@@ -312,11 +312,9 @@ def _general_loop(
     def tick(k, u):
         nonlocal values, grad_table
         values, grad_table = fast_step(k, u, values, grad_table)
-        if n_ctrl:
-            u = annealed_slow_update(
-                u, grad_table.sum(axis=0), k, schedule, C, anneal_denom, budget, noise_rng
-            )
-        return u
+        return annealed_slow_update(
+            u, grad_table.sum(axis=0), k, schedule, C, anneal_denom, budget, noise_rng
+        )
 
     traj = run_loop(
         scheme, u, n_iters, tick,

@@ -24,7 +24,10 @@ from . import general as general_mod
 from . import partial_obs, sas, sgd
 from .curves import SaturatingCurve
 from .errors import ConfigError
-from .network import ActivationModel, AgentPartition, InteractionGraph, bundled_network_path, load_edge_list, random_partition
+from .network import (
+    ActivationModel, AgentPartition, InteractionGraph, bundled_network_path, check_absorbing, load_edge_list,
+    random_partition,
+)
 from .optim import StepSchedule, Trajectory, exact_optimum, run_exact_gd
 
 SCHEMES = ("gd", "sas", "sgd1", "sgd2", "partial", "general-rl", "general-knownp")
@@ -185,6 +188,9 @@ def build_instance(config: ExperimentConfig) -> Instance:
     model = None
     if config.scheme.startswith("general"):
         model = general_mod.study_model(partition, config.seed, SaturatingCurve())
+        # every general run and the reference optimum start at u = 0, where
+        # the influence alpha(0) may leave nodes with no absorbing path
+        check_absorbing(graph, general_mod._fixed_point(partition, model, np.zeros(len(partition.controlled)))[0])
         u_star, payoff_star = general_mod.general_reference_optimum(
             graph, partition, model, config.budget
         )

@@ -145,12 +145,7 @@ class InteractionGraph:
         cached = self._adjoint
         if cached is None or cached[0] is not partition:
             damp = _base_damp(partition)
-            stranded = stranded_nodes(self, damp < 1.0)
-            if stranded.size:
-                raise InfeasibleError(
-                    f"node {stranded[0]} reaches no stubborn node and no controlled node whose 1 - alpha "
-                    "is below 1: the stationary system is singular"
-                )
+            check_absorbing(self, damp)
             system = system_matrix(self, damp)
             coef = solve(system.T, np.ones(self.node_count))
             residual = np.max(np.abs(system.T @ coef - 1.0))
@@ -770,6 +765,17 @@ def stranded_nodes(graph: InteractionGraph, deficient: np.ndarray) -> np.ndarray
         if count == before:
             break
     return np.flatnonzero(~reached)
+
+
+def check_absorbing(graph: InteractionGraph, damp: np.ndarray) -> None:
+    """Raise InfeasibleError, naming the first node ``stranded_nodes``
+    finds for the rows damp < 1: Id - damp * P is then singular."""
+    stranded = stranded_nodes(graph, damp < 1.0)
+    if stranded.size:
+        raise InfeasibleError(
+            f"node {stranded[0]} reaches no stubborn node and no controlled node whose 1 - alpha "
+            "is below 1: the stationary system is singular"
+        )
 
 
 def check_feasible(graph: InteractionGraph, partition: AgentPartition) -> None:

@@ -72,11 +72,6 @@ class Trajectory:
     def final_u(self) -> np.ndarray:
         return self.u[-1]
 
-    def final_gap(self) -> float:
-        if self.rel_gap is None:
-            raise ValueError("trajectory carries no gap column")
-        return float(self.rel_gap[-1])
-
 
 # support sizes 1, 2, ... of the water-filling candidates
 _SIZES = np.arange(1.0, 1025.0)
@@ -254,8 +249,6 @@ def run_exact_gd(
     gains = payoff_coefficients(graph, partition)[idx] * partition.alpha[idx]
 
     def tick(k, u):
-        if not n_ctrl:
-            return u
         grad = gains * partition.w_derivs(u)
         return project_budget_simplex(u + (step_scale / (k + 1)) * grad, budget)
 

@@ -230,9 +230,7 @@ def run_partial(
         driver = own_alpha * partition.w_derivs(u)[own_cols]
         polled = np.array(probed, dtype=np.intp)
         _tick_fast_updates(grad_vec, rows, polled, survive, own_rows, driver, tick_steps[k])
-        if n_ctrl:
-            u = partial_slow_update(u, grad_vec, partition, k, schedule, budget)
-        return u
+        return partial_slow_update(u, grad_vec, partition, k, schedule, budget)
 
     traj = run_loop("partial", u, n_iters, tick, payoff_fn(graph, partition), payoff_star)
     traj.extras = {

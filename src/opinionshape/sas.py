@@ -105,8 +105,9 @@ def _tick_fast_updates(
     block, of the cells that get a driver (see ``owned_cells``;
     ``slice(None)`` for all of a vector), and driver holds their terms,
     alpha_i * w_i'(u_i) in ``sas``.  steps is a(nu_i) as a column per
-    poller, or one scalar when every clock agrees.  Synchronous runners
-    build damp and the owned cells once per run.
+    poller (0 on a row that keeps its value), or one scalar when every
+    clock agrees.  The runners build the owned cells once per run, and
+    ``run_sas`` and ``run_partial`` their damp too.
     """
     # take copies rows without the fancy-indexing machinery; a slice reads
     # them in place
@@ -137,10 +138,12 @@ def run_sas(
     """Run the coupled fast/slow recursion for n_iters ticks.
 
     Each tick draws the active set, samples one poll per active non-stubborn
-    agent, applies all fast updates against the pre-tick table, then takes
-    one slow control step.  A synchronous run draws its polls a block of
-    ticks at a time (``poll_blocks``).  With freeze_u the controls stay at
-    u0, which isolates the fast recursion.
+    agent, relaxes the whole table in place against the pre-tick table,
+    then takes one slow control step.  A synchronous run draws its polls a
+    block of ticks at a time (``poll_blocks``); in an asynchronous run an
+    agent that sleeps reads its own row with step 0, which keeps the row's
+    bits.  With freeze_u the controls stay at u0, which isolates the fast
+    recursion.
     """
     rng = np.random.default_rng(seed)
     n = graph.node_count
@@ -148,63 +151,50 @@ def run_sas(
     u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
     grad_table = np.zeros((n, n_ctrl))
     cdf = graph.poll_cdf()
-
-    codes = partition.node_codes()
-    free = codes != STUBBORN
-    alpha = partition.alpha
     bound = _table_bound(partition)
 
-    def driver_at(own_alpha, own_cols, u):
-        # w'(u) only when some poller owns a control
-        return own_alpha * partition.w_derivs(u)[own_cols] if len(own_cols) else own_alpha
+    # built once per run: a stubborn row polls itself with damp 0 and no
+    # driver, so it stays +0.0; a row that sleeps reads itself with step 0,
+    # and G + 0 * (finite) is G, since the table never holds -0.0
+    codes = partition.node_codes()
+    free = codes != STUBBORN
+    nodes = np.arange(n)
+    damp = np.repeat(np.where(free, 1.0 - partition.alpha, 0.0)[:, None], n_ctrl, axis=1)
+    own_rows, own_cols, own_cells = owned_cells(codes, nodes, n_ctrl)
+    own_alpha = partition.alpha[own_rows]
+    frozen = own_alpha * partition.w_derivs(u)[own_cols] if freeze_u else None
+    polled = nodes.copy()
+    clocks = np.zeros(n, dtype=np.int64)
+    synchronous = activation.mode == "synchronous"
+    if synchronous:
+        # every non-stubborn agent polls on every tick, so every local clock
+        # reads k and the poll events do not depend on the learner
+        pollers = np.flatnonzero(free)
+        steps = schedule.a(np.arange(n_iters))
+        draws = poll_blocks(lambda rows: sample_poll_targets(cdf, rows, rng), pollers, n_iters)
 
-    def finish(k, u, updated):
-        if not freeze_u and n_ctrl:
+    def tick(k, u):
+        if synchronous:
+            polled[pollers] = next(draws)
+            a_k = steps[k]
+        else:
+            awake = np.flatnonzero((rng.random(n) < activation.q) & free)
+            polled[:] = nodes
+            polled[awake] = sample_poll_targets(cdf, awake, rng)
+            a_k = np.zeros((n, 1))
+            a_k[awake, 0] = schedule.a(clocks[awake])
+            clocks[awake] += 1
+        driver = own_alpha * partition.w_derivs(u)[own_cols] if frozen is None else frozen
+        _tick_fast_updates(grad_table, slice(None), polled, damp, own_cells, driver, a_k)
+        if not freeze_u:
             u = sas_slow_update(u, grad_table, k, schedule, budget)
-        # rows left alone this tick passed on an earlier one; written so
-        # that a NaN fails too
-        if not (updated.max(initial=0.0) <= bound and updated.min(initial=0.0) >= -bound):
+        # written so that a NaN fails too
+        if not (grad_table.max(initial=0.0) <= bound and grad_table.min(initial=0.0) >= -bound):
             raise DivergenceError(f"sensitivity table left its sanity bound {bound:.3g} at tick {k + 1}")
         return u
 
-    clocks = np.zeros(n, dtype=np.int64)
-    if activation.mode == "synchronous":
-        # every non-stubborn agent polls on every tick, so every local clock
-        # reads k and the poll events do not depend on the learner.  One
-        # call relaxes the whole table in place: a stubborn row polls
-        # itself with damp 0 and no driver, so it stays +0.0
-        pollers = np.flatnonzero(free)
-        damp = np.repeat(np.where(free, 1.0 - alpha, 0.0)[:, None], n_ctrl, axis=1)
-        own_rows, own_cols, own_cells = owned_cells(codes, np.arange(n), n_ctrl)
-        own_alpha = alpha[own_rows]
-        frozen = driver_at(own_alpha, own_cols, u) if freeze_u else None
-        steps = schedule.a(np.arange(n_iters))
-        draws = poll_blocks(lambda rows: sample_poll_targets(cdf, rows, rng), pollers, n_iters)
-        polled = np.arange(n)
-
-        def tick(k, u):
-            driver = driver_at(own_alpha, own_cols, u) if frozen is None else frozen
-            polled[pollers] = next(draws)
-            updated = _tick_fast_updates(
-                grad_table, slice(None), polled, damp, own_cells, driver, steps[k]
-            )
-            return finish(k, u, updated)
-
-    else:
-        def tick(k, u):
-            pollers = np.flatnonzero((rng.random(n) < activation.q) & free)
-            polled = sample_poll_targets(cdf, pollers, rng)
-            own_rows, own_cols, own_cells = owned_cells(codes, pollers, n_ctrl)
-            driver = driver_at(alpha[pollers[own_rows]], own_cols, u)
-            steps = schedule.a(clocks[pollers])[:, None]
-            updated = _tick_fast_updates(
-                grad_table, pollers, polled, (1.0 - alpha[pollers])[:, None], own_cells, driver, steps
-            )
-            clocks[pollers] += 1
-            return finish(k, u, updated)
-
     traj = run_loop("sas", u, n_iters, tick, payoff_fn(graph, partition), payoff_star)
-    if activation.mode == "synchronous":
+    if synchronous:
         clocks[pollers] = n_iters
     traj.extras = {"grad_table": grad_table, "clocks": clocks}
     return traj

@@ -594,7 +594,7 @@ def reference_tick_fast_updates(
     grad_table[pollers] += steps[:, None] * (target - grad_table[pollers])
 
 
-def reference_run_sas_synchronous(
+def reference_run_sas(
     graph: InteractionGraph,
     partition: AgentPartition,
     budget: float,
@@ -603,39 +603,42 @@ def reference_run_sas_synchronous(
     seed,
     u0: np.ndarray | None = None,
     freeze_u: bool = False,
+    q: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A synchronous ``sas.run_sas`` on ``reference_tick_fast_updates``, the
-    oracle for its whole-table tick: each tick gathers the pollers' rows
-    (every non-stubborn agent), draws their polls with one
-    ``sample_poll_targets`` call, relaxes them, takes the slow step and
-    checks the largest absolute entry of the relaxed rows against the
-    bound.  Returns the controls per tick, their payoffs, the table and
-    the local clocks."""
+    """``sas.run_sas`` on ``reference_tick_fast_updates``, the oracle for its
+    whole-table tick: each tick gathers the rows of the agents that poll,
+    draws their polls with one ``sample_poll_targets`` call, relaxes those
+    rows alone, takes the slow step and checks the largest absolute entry
+    of the relaxed rows against the bound.  Every non-stubborn agent polls
+    on every tick, or with q given (asynchronous activation) agent i wakes
+    with probability q[i] and steps a(nu_i) on its own clock.  Returns the
+    controls per tick, their payoffs, the table and the local clocks."""
     rng = np.random.default_rng(seed)
     n, n_ctrl = graph.node_count, len(partition.controlled)
     u = np.zeros(n_ctrl) if u0 is None else np.asarray(u0, dtype=float).copy()
     table = np.zeros((n, n_ctrl))
-    pollers = np.flatnonzero(partition.node_codes() != STUBBORN)
-    ctrl_pos = partition.node_codes()[pollers]
-    owns = ctrl_pos >= 0
-    steps = schedule.a(np.arange(n_iters))
+    codes = partition.node_codes()
+    free = codes != STUBBORN
+    clocks = np.zeros(n, dtype=np.int64)
     bound = _table_bound(partition)
     us = [u.copy()]
     for k in range(n_iters):
+        pollers = np.flatnonzero(free if q is None else (rng.random(n) < q) & free)
         polled = sample_poll_targets(graph.poll_cdf(), pollers, rng)
+        ctrl_pos = codes[pollers]
+        owns = ctrl_pos >= 0
         diag = np.zeros(len(pollers))
         diag[owns] = partition.alpha[pollers[owns]] * partition.w_derivs(u)[ctrl_pos[owns]]
         reference_tick_fast_updates(
-            table, pollers, polled, partition.alpha, diag, ctrl_pos, np.full(len(pollers), steps[k])
+            table, pollers, polled, partition.alpha, diag, ctrl_pos, schedule.a(clocks[pollers])
         )
+        clocks[pollers] += 1
         if not freeze_u and n_ctrl:
             u = project_budget_simplex(u + schedule.b(k) * table.sum(axis=0), budget)
         if not np.max(np.abs(table[pollers]), initial=0.0) <= bound:
             raise DivergenceError(f"sensitivity table left its sanity bound {bound:.3g} at tick {k + 1}")
         us.append(u.copy())
     us = np.array(us)
-    clocks = np.zeros(n, dtype=np.int64)
-    clocks[pollers] = n_iters
     return us, payoff_fn(graph, partition)(us), table, clocks
 
 

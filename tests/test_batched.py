@@ -41,12 +41,13 @@ from helpers import (
     reference_known_p_updates,
     reference_relax_scalars,
     reference_restricted_grad_oracle,
-    reference_run_sas_synchronous,
+    reference_run_sas,
     reference_tables,
     reference_tick_fast_updates,
     reference_value_update,
     reference_w_derivs,
     reference_w_values,
+    random_instance,
     ring_chords_instance,
 )
 
@@ -385,9 +386,9 @@ def whole_table_cases(draw):
 
 
 @st.composite
-def synchronous_sas_cases(draw):
-    """A small instance for a synchronous ``run_sas``: controls with alpha 1
-    among others, or no controls, or every agent stubborn."""
+def sas_cases(draw):
+    """A small instance for ``run_sas``: controls with alpha 1 among others,
+    or no controls, or every agent stubborn."""
     n = draw(st.integers(1, 8))
     kind = draw(st.sampled_from(["mixed"] * 3 + ["no controls", "all stubborn"]))
     n_ctrl = draw(st.integers(1, n)) if kind == "mixed" else 0
@@ -460,19 +461,38 @@ class TestWholeTableTick:
             assert block.tobytes() == want_block.tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(case=synchronous_sas_cases())
+    @given(case=sas_cases())
     def test_run_matches_the_poller_gather_oracle(self, case):
         def runner(**kw):
             traj = run_sas(activation=ActivationModel("synchronous"), **kw)
             return traj.u, traj.payoff, traj.extras["grad_table"], traj.extras["clocks"]
 
         got = outcome(runner, **case)
-        want = outcome(reference_run_sas_synchronous, **case)
+        want = outcome(reference_run_sas, **case)
         if isinstance(want, str):
             assert got == want
         else:
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
             assert got[3].dtype == want[3].dtype
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=sas_cases(), data=st.data())
+    def test_asynchronous_run_matches_the_poller_gather_oracle(self, case, data):
+        # the oracle relaxes the awake rows alone; the runner relaxes the
+        # whole table with step 0 on the rows that sleep
+        n = case["graph"].node_count
+        q = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+
+        def runner(**kw):
+            traj = run_sas(activation=ActivationModel("asynchronous", q=q), **kw)
+            return traj.u, traj.payoff, traj.extras["grad_table"], traj.extras["clocks"]
+
+        got = outcome(runner, **case)
+        want = outcome(reference_run_sas, q=q, **case)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_polled_stubborn_rows_stay_positive_zero(self, karate_graph, karate_partition, schedule, budget):
         stubborn = list(karate_partition.stubborn)
@@ -494,7 +514,7 @@ class TestWholeTableTick:
             graph=karate_graph, partition=partition, budget=5.0, schedule=schedule, n_iters=50, seed=1,
             u0=np.full(3, 0.5 if freeze_u else 0.0), freeze_u=freeze_u,
         )
-        want = outcome(reference_run_sas_synchronous, **case)
+        want = outcome(reference_run_sas, **case)
         assert isinstance(want, str)
         with pytest.raises(DivergenceError) as err:
             run_sas(activation=SYNC_RUN, **case)
@@ -630,6 +650,59 @@ class TestDivergenceTick:
         with pytest.raises(DivergenceError, match=f"at tick {over[0]}$"):
             run_sas(graph, partition, budget, schedule, activation, 60, 3)
         run_sas(graph, partition, budget, schedule, activation, over[0] - 1, 3)
+
+
+class TestAsynchronousTick:
+    """An asynchronous run makes the synchronous run's one whole-table
+    kernel call, with step 0 on the rows whose agent sleeps."""
+
+    @staticmethod
+    def run_watched(graph, partition, q, n_iters, seed, schedule, budget):
+        """run_sas with every kernel call checked: a row whose step is 0
+        reads itself and keeps its bytes, and a stubborn row stays +0.0.
+        Returns the trajectory and how often each row got a step."""
+        kernel = sas._tick_fast_updates
+        stubborn = list(partition.stubborn)
+        woken = np.zeros(graph.node_count, dtype=np.int64)
+
+        def watched(grad_table, pollers, polled, damp, own_cells, driver, steps):
+            before = grad_table.copy()
+            block = kernel(grad_table, pollers, polled, damp, own_cells, driver, steps)
+            asleep = steps[:, 0] == 0.0
+            woken[~asleep] += 1
+            assert np.array_equal(polled[asleep], np.flatnonzero(asleep))
+            assert grad_table[asleep].tobytes() == before[asleep].tobytes()
+            assert grad_table[stubborn].tobytes() == np.zeros((len(stubborn), grad_table.shape[1])).tobytes()
+            return block
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sas, "_tick_fast_updates", watched)
+            traj = run_sas(graph, partition, budget, schedule, ActivationModel("asynchronous", q=q), n_iters, seed)
+        # a row gets a step exactly when its agent's clock advances
+        assert np.array_equal(traj.extras["clocks"], woken)
+        return traj, woken
+
+    def test_karate_rows_that_sleep_keep_their_bytes(self, karate_graph, karate_partition, schedule, budget):
+        traj, woken = self.run_watched(karate_graph, karate_partition, np.full(34, 0.3), 200, 3, schedule, budget)
+        free = [i for i in range(34) if i not in karate_partition.stubborn]
+        assert np.all(woken[free] > 0) and np.all(woken[free] < 200)
+        assert traj.extras["grad_table"].any()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), q=st.floats(0.05, 1.0), n_iters=st.integers(1, 60))
+    def test_random_instance_rows_that_sleep_keep_their_bytes(self, seed, q, n_iters):
+        graph, partition = random_instance(seed, max_nodes=20)
+        q_nodes = np.random.default_rng(seed).uniform(q / 2, q, graph.node_count)
+        self.run_watched(graph, partition, q_nodes, n_iters, seed, StepSchedule(), 5.0)
+
+    def test_every_clock_reads_the_tick_count_when_every_agent_wakes(
+        self, karate_graph, karate_partition, schedule, budget
+    ):
+        act = ActivationModel("asynchronous", q=np.ones(34))
+        clocks = run_sas(karate_graph, karate_partition, budget, schedule, act, n_iters=150, seed=1).extras["clocks"]
+        free = [i for i in range(34) if i not in karate_partition.stubborn]
+        assert np.all(clocks[free] == 150)
+        assert not clocks[list(karate_partition.stubborn)].any()
 
 
 @st.composite

@@ -102,6 +102,28 @@ def test_general_scheme_without_stubborn_agents_is_exit_3(tmp_path, scheme):
     assert main(["run", "--config", str(cfg)]) == 3
 
 
+def write_stranded_general_config(tmp_path):
+    # the partition controls nodes 2 and 4 and makes node 1 stubborn, so
+    # the base system is feasible; alpha(0) = 0 leaves {4, 5, 6} with no
+    # path to an absorbing row, and I - A(0) is singular there
+    edges = tmp_path / "stranded.edges"
+    edges.write_text("0 1\n1 2\n2 3\n3 0\n4 5\n5 4\n4 4\n5 6\n")
+    return write_config(
+        tmp_path, network=edges, scheme="general-rl", s_size=2, s1_size=4, s0_size=1, out_dir=tmp_path / "out"
+    )
+
+
+def test_general_system_singular_at_zero_control_is_exit_3_within_a_second(tmp_path, capsys):
+    # LAPACK solved this system without complaint and the run wrote a
+    # gradient entry of 5e16 at u = 0
+    cfg = write_stranded_general_config(tmp_path)
+    start = time.perf_counter()
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "node 4" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 def test_timing_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, out_dir=tmp_path / "t")
     code = main(["timing", "--config", str(cfg), "--schemes", "sas", "--timing-iters", "10"])
@@ -109,15 +131,24 @@ def test_timing_subcommand(tmp_path, capsys):
     assert "sas:" in capsys.readouterr().out
 
 
+def test_run_refuses_an_abbreviated_flag(tmp_path):
+    # --it would otherwise read as --iters
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        main(["run", "--config", str(cfg), "--it", "5"])
+    assert exc.value.code == 2
+
+
 def test_timing_empty_schemes_is_exit_2(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["timing", "--config", str(cfg), "--schemes", ""]) == 2
 
 
-@pytest.mark.parametrize("flag", [["--iters", "5"], ["--runs", "1"], ["--jobs", "1"], ["--out", "t"]])
+@pytest.mark.parametrize(
+    "flag", [["--iters", "5"], ["--runs", "1"], ["--jobs", "1"], ["--out", "t"], ["--scheme", "sas"]]
+)
 def test_timing_refuses_the_flags_it_does_not_read(tmp_path, flag):
-    # timing_report picks the schemes and the iteration count itself.
-    # argparse reads --scheme as an abbreviation of --schemes
+    # timing_report picks the schemes and the iteration count itself
     cfg = write_config(tmp_path)
     with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
         main(["timing", "--config", str(cfg), *flag])

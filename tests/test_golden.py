@@ -329,8 +329,10 @@ def test_one_row_walks_match_golden_digests(karate_graph, karate_partition):
     assert got == GOLDEN_ONE_WALK
 
 
-# asynchronous sas keeps its per-tick draws and local clocks: karate with
-# every agent active with probability 0.3, 200 ticks
+# asynchronous sas draws its activity coins and polls tick by tick and
+# makes the synchronous run's one whole-table kernel call, with step 0 on
+# the agents that sleep: karate with every agent active with probability
+# 0.3, 200 ticks
 GOLDEN_ASYNC_SAS = {
     0: '1f1c1ca73d454f60ce9666c7cff79b6a6b9736e31b0704ff9175a6503a73cc81',
     1: 'b0136028fe2e8341c0c11640864866df9b86ba84faa2c1558e41e3ace614c36b',

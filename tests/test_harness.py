@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opinionshape import harness
-from opinionshape.errors import ConfigError
+from opinionshape.errors import ConfigError, InfeasibleError
 from opinionshape.harness import (
     SCHEMES,
     build_instance,
@@ -160,6 +160,21 @@ class TestRunExperiment:
         assert seed == cfg.seed + 1
         assert np.array_equal(traj.u, expected.u)
         assert np.array_equal(traj.payoff, expected.payoff)
+
+    def test_general_build_refuses_a_system_singular_at_zero_control(self, tmp_path, monkeypatch):
+        # alpha(0) = 0 leaves nodes 4, 5 and 6 with no path to the stubborn
+        # node 1, though the base system is feasible; the refusal comes
+        # before the reference optimum solves anything
+        edges = tmp_path / "stranded.edges"
+        edges.write_text("0 1\n1 2\n2 3\n3 0\n4 5\n5 4\n4 4\n5 6\n")
+        cfg = parse_config(write_config(tmp_path, network=edges, scheme="general-rl", s_size=2, s1_size=4, s0_size=1))
+
+        def no_optimum(*args):
+            raise AssertionError("the reference optimum must not run")
+
+        monkeypatch.setattr(harness.general_mod, "general_reference_optimum", no_optimum)
+        with pytest.raises(InfeasibleError, match="^node 4 "):
+            build_instance(cfg)
 
     @pytest.mark.parametrize("scheme", ["gd", "sas", "sgd1", "sgd2", "partial"])
     def test_one_dense_solve_per_experiment(self, tmp_path, monkeypatch, scheme):
